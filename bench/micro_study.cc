@@ -2,13 +2,13 @@
 // what does a lease message cost when the StudyManager hosts S studies
 // instead of one?
 //
-// The multiplexing claim (DESIGN.md §11) is that routing is O(1) in the
-// study count — a shard-hash lookup plus the single study's own work — so
-// per-message cost must stay flat from 1 study to thousands. These benches
-// sweep S = 1..10k at 1/4/16 shards through the full scoped
-// grant+report+tick cycle, isolate Tick's O(due studies) contract with
-// nothing due, and price the "*" fair-allocation scan (the one deliberate
-// O(shards) path). Curated before/after numbers live in BENCH_studies.json.
+// The multiplexing claim (DESIGN.md §11) is that routing is O(log S) in
+// the study count — one ordered-map lookup plus the single study's own
+// work — so per-message cost must stay flat from 1 study to thousands.
+// These benches sweep S = 1..10k through the full scoped grant+report+tick
+// cycle, isolate Tick's O(due studies) contract with nothing due, and
+// price the "*" round-robin scan (the one deliberate scan). Curated
+// before/after numbers live in BENCH_studies.json.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -55,16 +55,15 @@ Json ScopedReport(std::uint64_t worker, std::int64_t job_id,
   return message;
 }
 
-StudyManagerOptions BenchOptions(std::size_t shards) {
+StudyManagerOptions BenchOptions() {
   StudyManagerOptions options;
-  options.shards = shards;
   options.server = ServerOptions{.lease_timeout = 1e12};
   options.default_config = Json();  // all traffic scoped
   return options;
 }
 
-/// Loads `studies` tenants, each parked with one open lease so every
-/// shard's deadline heap carries real entries (none ever due:
+/// Loads `studies` tenants, each parked with one open lease so the
+/// deadline heap carries real entries (none ever due:
 /// lease_timeout is effectively infinite).
 void LoadStudies(StudyManager& manager, std::size_t studies) {
   for (std::size_t i = 0; i < studies; ++i) {
@@ -77,16 +76,15 @@ void LoadStudies(StudyManager& manager, std::size_t studies) {
 // The headline sweep: a full scoped lease cycle (request_job + report +
 // manager Tick) against a hot fleet of min(S, 8) studies while S tenants
 // (each holding a live lease) are resident. This isolates what tenancy
-// itself adds to a message — the routing lookup, the shard lock, the
-// deadline-heap bookkeeping — which must be O(1) in S. Flat per-item time
-// from S=1 to S=1000 at 16 shards is the acceptance bar; S=10k bounds the
-// tail. (Cycling through ALL S tenants instead is measured separately
-// below: that shape is bound by CPU cache capacity, not by the manager.)
+// itself adds to a message — the routing lookup and the deadline-heap
+// bookkeeping — which must stay flat in S. Flat per-item time from S=1 to
+// S=1000 is the acceptance bar; S=10k bounds the tail. (Cycling through
+// ALL S tenants instead is measured separately below: that shape is bound
+// by CPU cache capacity, not by the manager.)
 void BM_StudyLeaseCycle(benchmark::State& state) {
   const auto studies = static_cast<std::size_t>(state.range(0));
-  const auto shards = static_cast<std::size_t>(state.range(1));
   StudyManager manager(MakeStudySchedulerFactory(UnitSpace()),
-                       BenchOptions(shards));
+                       BenchOptions());
   LoadStudies(manager, studies);
   const std::size_t hot = std::min<std::size_t>(studies, 8);
   std::vector<std::string> names;
@@ -106,19 +104,11 @@ void BM_StudyLeaseCycle(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StudyLeaseCycle)
-    ->Args({1, 1})
-    ->Args({10, 1})
-    ->Args({100, 1})
-    ->Args({1000, 1})
-    ->Args({1, 4})
-    ->Args({10, 4})
-    ->Args({100, 4})
-    ->Args({1000, 4})
-    ->Args({1, 16})
-    ->Args({10, 16})
-    ->Args({100, 16})
-    ->Args({1000, 16})
-    ->Args({10000, 16});
+    ->Arg(1)
+    ->Arg(10)
+    ->Arg(100)
+    ->Arg(1000)
+    ->Arg(10000);
 
 // Same cycle, but every message targets a different tenant round-robin, so
 // each one drags a cold scheduler + server working set through the cache.
@@ -128,7 +118,7 @@ BENCHMARK(BM_StudyLeaseCycle)
 void BM_StudyLeaseCycleRotatingTenants(benchmark::State& state) {
   const auto studies = static_cast<std::size_t>(state.range(0));
   StudyManager manager(MakeStudySchedulerFactory(UnitSpace()),
-                       BenchOptions(/*shards=*/16));
+                       BenchOptions());
   LoadStudies(manager, studies);
   std::vector<std::string> names;
   names.reserve(studies);
@@ -149,13 +139,13 @@ void BM_StudyLeaseCycleRotatingTenants(benchmark::State& state) {
 BENCHMARK(BM_StudyLeaseCycleRotatingTenants)->Arg(1)->Arg(100)->Arg(1000);
 
 // Tick with S studies holding live leases and none of them due: the lazy
-// per-shard deadline heaps must make this O(shards), not O(studies) — the
+// deadline heap must make this one heap-top peek, not O(studies) — the
 // idle-expiry timer fires once a second in production and must not scale
 // with tenancy.
 void BM_StudyTickNothingDue(benchmark::State& state) {
   const auto studies = static_cast<std::size_t>(state.range(0));
   StudyManager manager(MakeStudySchedulerFactory(UnitSpace()),
-                       BenchOptions(/*shards=*/16));
+                       BenchOptions());
   LoadStudies(manager, studies);
   double now = 1;
   for (auto _ : state) {
@@ -166,13 +156,13 @@ void BM_StudyTickNothingDue(benchmark::State& state) {
 }
 BENCHMARK(BM_StudyTickNothingDue)->Arg(1)->Arg(100)->Arg(1000)->Arg(10000);
 
-// "*" fair allocation: the one path that deliberately scans — it rotates
-// across shards looking for a ready study. Prices the scan against the
-// scoped fast path above (same cycle, wildcard routing).
+// "*" round-robin allocation: the one path that deliberately scans — it
+// walks the studies from its cursor until one grants. Prices the scan
+// against the scoped fast path above (same cycle, wildcard routing).
 void BM_StudyWildcardCycle(benchmark::State& state) {
   const auto studies = static_cast<std::size_t>(state.range(0));
   StudyManager manager(MakeStudySchedulerFactory(UnitSpace()),
-                       BenchOptions(/*shards=*/16));
+                       BenchOptions());
   LoadStudies(manager, studies);
   double now = 1;
   for (auto _ : state) {

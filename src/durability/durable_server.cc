@@ -52,6 +52,27 @@ std::optional<std::uint64_t> ParseGeneration(const std::string& name,
 
 }  // namespace
 
+bool WriteFileDurably(FileOps& ops, const std::string& path,
+                      const std::string& content) {
+  const std::string tmp = path + ".tmp";
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) return false;
+  std::size_t written = 0;
+  while (written < content.size()) {
+    const ssize_t n = ops.Write(fd, content.data() + written,
+                                content.size() - written);
+    if (n <= 0) break;
+    written += static_cast<std::size_t>(n);
+  }
+  const bool durable = written == content.size() && ops.Fsync(fd) == 0;
+  ::close(fd);
+  if (!durable || ops.Rename(tmp.c_str(), path.c_str()) != 0) {
+    ::unlink(tmp.c_str());
+    return false;
+  }
+  return true;
+}
+
 ServerOptions DurableServer::WithJournal(ServerOptions options,
                                          LeaseEventSink* sink) {
   HT_CHECK_MSG(options.journal == nullptr,
@@ -277,32 +298,6 @@ void DurableServer::MaybeSnapshot() {
   if (records_since_snapshot_ >= durability_.snapshot_every) TakeSnapshot();
 }
 
-bool DurableServer::WriteSnapshotFile(const std::string& path,
-                                      const std::string& content) {
-  FileOps& ops = durability_.file_ops != nullptr ? *durability_.file_ops
-                                                 : FileOps::Real();
-  const std::string tmp = path + ".tmp";
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return false;
-  // Write-then-fsync-then-rename: the destination is only ever replaced by
-  // a fully durable file, so neither a crash nor an injected ENOSPC can
-  // leave a torn snapshot where recovery would trust one.
-  std::size_t written = 0;
-  while (written < content.size()) {
-    const ssize_t n = ops.Write(fd, content.data() + written,
-                                content.size() - written);
-    if (n <= 0) break;
-    written += static_cast<std::size_t>(n);
-  }
-  const bool durable = written == content.size() && ops.Fsync(fd) == 0;
-  ::close(fd);
-  if (!durable || ops.Rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  return true;
-}
-
 void DurableServer::TakeSnapshot() {
   HT_CHECK(writer_.has_value());
   // Make the current journal durable before superseding it: until the new
@@ -314,7 +309,9 @@ void DurableServer::TakeSnapshot() {
     return;
   }
   const std::uint64_t next = generation_ + 1;
-  if (!WriteSnapshotFile(SnapshotPath(next), server_.Snapshot().Dump())) {
+  FileOps& ops = durability_.file_ops != nullptr ? *durability_.file_ops
+                                                 : FileOps::Real();
+  if (!WriteFileDurably(ops, SnapshotPath(next), server_.Snapshot().Dump())) {
     // Non-fatal: the current generation still recovers everything. Counted
     // and retried at the next snapshot boundary.
     ++stats_.snapshot_failures;

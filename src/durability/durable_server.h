@@ -56,6 +56,15 @@ struct DurabilityOptions {
   Telemetry* telemetry = nullptr;
 };
 
+/// Atomic, durable file write through the FileOps seam: write a tmp file,
+/// fsync it, then rename it over `path`, so `path` is only ever replaced by
+/// a fully durable file — neither a crash nor an injected ENOSPC can leave
+/// a torn one where recovery would trust it. False on failure, with the tmp
+/// file removed. The rename itself is not made durable (no directory
+/// fsync).
+bool WriteFileDurably(FileOps& ops, const std::string& path,
+                      const std::string& content);
+
 /// Counters for the degraded read-only mode (see class comment).
 struct DurabilityStats {
   std::size_t journal_write_failures = 0;
@@ -160,9 +169,6 @@ class DurableServer final : public MessageService, public LeaseEventSink {
   /// Degraded-mode probe: re-append buffered records, fsync, and exit the
   /// mode once everything lands. Cheap no-op when not degraded.
   void TryResumeJournal();
-  /// Atomic fault-aware snapshot write (tmp + fsync + rename through the
-  /// FileOps seam); false on failure, with the tmp file removed.
-  bool WriteSnapshotFile(const std::string& path, const std::string& content);
   WalWriteOptions WalOptions() const;
 
   static ServerOptions WithJournal(ServerOptions options,

@@ -156,7 +156,7 @@ class TuningServer : public MessageService {
   /// The earliest authoritative lease deadline, or nullopt with no open
   /// leases. Cleans stale heap tops as a side effect (amortized against the
   /// renewals that created them), so a caller scheduling tick work — the
-  /// study manager's per-shard deadline index — gets the true next expiry,
+  /// study manager's deadline index — gets the true next expiry,
   /// not a lazily deleted ghost.
   std::optional<double> EarliestDeadline();
 

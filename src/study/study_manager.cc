@@ -7,12 +7,14 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/table.h"
 #include "telemetry/telemetry.h"
 
 namespace hypertune {
 
 namespace {
+
+/// Where study-less messages route: the single-tenant compatibility path.
+constexpr char kDefaultStudy[] = "default";
 
 std::string ReadWholeFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -33,6 +35,13 @@ bool ValidStudyName(const std::string& name) {
     if (!ok) return false;
   }
   return true;
+}
+
+/// The study commit points (manifest, state, tombstone): durable before
+/// anything acts on them.
+void WriteStudyFile(const std::string& path, const std::string& content) {
+  HT_CHECK_MSG(WriteFileDurably(FileOps::Real(), path, content),
+               "cannot write study file " << path);
 }
 
 }  // namespace
@@ -61,51 +70,30 @@ StudyManager::StudyManager(StudySchedulerFactory factory,
                            StudyManagerOptions options)
     : factory_(std::move(factory)), options_(std::move(options)) {
   HT_CHECK_MSG(factory_ != nullptr, "StudyManager requires a factory");
-  HT_CHECK_MSG(options_.shards >= 1, "StudyManager requires >= 1 shard");
   HT_CHECK_MSG(options_.server.journal == nullptr,
                "per-study servers install their own journal sinks");
-  HT_CHECK_MSG(options_.default_study.empty() ||
-                   ValidStudyName(options_.default_study),
-               "invalid default study name '" << options_.default_study
-                                              << "'");
-  shards_.reserve(options_.shards);
-  for (std::size_t i = 0; i < options_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
   if (durable()) RecoverStudies();
-  if (!options_.default_config.IsNull() && !options_.default_study.empty() &&
-      FindServer(options_.default_study) == nullptr) {
-    HT_CHECK_MSG(
-        CreateStudy(options_.default_study, options_.default_config, 0.0),
-        "cannot create default study '" << options_.default_study << "'");
+  if (!options_.default_config.IsNull() && Find(kDefaultStudy) == nullptr) {
+    HT_CHECK_MSG(CreateStudy(kDefaultStudy, options_.default_config, 0.0),
+                 "cannot create default study '" << kDefaultStudy << "'");
   }
 }
 
 StudyManager::~StudyManager() = default;
 
-StudyManager::Shard& StudyManager::ShardFor(const std::string& name) {
-  return *shards_[std::hash<std::string>{}(name) % shards_.size()];
+StudyManager::Study* StudyManager::Find(const std::string& name) {
+  const auto it = studies_.find(name);
+  return it == studies_.end() ? nullptr : it->second.get();
 }
 
-const StudyManager::Shard& StudyManager::ShardFor(
-    const std::string& name) const {
-  return *shards_[std::hash<std::string>{}(name) % shards_.size()];
-}
-
-StudyManager::Study* StudyManager::FindLocked(Shard& shard,
-                                              const std::string& name) {
-  const auto it = shard.studies.find(name);
-  return it == shard.studies.end() ? nullptr : it->second.get();
-}
-
-void StudyManager::IndexDeadline(Shard& shard, Study& study) {
+void StudyManager::IndexDeadline(Study& study) {
   const auto earliest = study.server->EarliestDeadline();
   if (!earliest) return;
   // An entry at or before the current earliest is already queued; it will
   // re-probe the study when it pops. Only a genuinely new (or earlier)
   // deadline needs an entry.
   if (study.indexed_valid && study.indexed_deadline <= *earliest) return;
-  shard.deadlines.push({*earliest, study.name});
+  deadlines_.push({*earliest, study.name});
   study.indexed_deadline = *earliest;
   study.indexed_valid = true;
 }
@@ -143,8 +131,7 @@ std::unique_ptr<StudyManager::Study> StudyManager::BuildStudy(
       manifest.Set("config", study->config);
       manifest.Set("max_leases",
                    Json(static_cast<std::int64_t>(max_leases)));
-      HT_CHECK_MSG(WriteFile(manifest_path, manifest.Dump()),
-                   "cannot write study manifest " << manifest_path);
+      WriteStudyFile(manifest_path, manifest.Dump());
     }
     study->durable = std::make_unique<DurableServer>(
         *study->scheduler, server_options,
@@ -175,7 +162,6 @@ void StudyManager::RecoverStudies() {
       // A delete crashed after its tombstone but before the removal:
       // finish it. The tombstone is the durable commit point.
       std::filesystem::remove_all(dir);
-      std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.tombstones_completed;
       continue;
     }
@@ -206,13 +192,9 @@ void StudyManager::RecoverStudies() {
         study->server->SetFrozen(true);
       }
     }
-    Shard& shard = ShardFor(name);
-    std::lock_guard<std::mutex> lock(shard.mu);
     Study& ref = *study;
-    shard.studies.emplace(name, std::move(study));
-    if (!ref.suspended) IndexDeadline(shard, ref);
-    ++study_count_;
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
+    studies_.emplace(name, std::move(study));
+    if (!ref.suspended) IndexDeadline(ref);
     ++stats_.recovered;
   }
 }
@@ -223,8 +205,7 @@ void StudyManager::WriteStateFile(const Study& study) const {
   state.Set("suspended_at", Json(study.suspended_at));
   const std::string path =
       (std::filesystem::path(StudyDir(study.name)) / "state.json").string();
-  HT_CHECK_MSG(WriteFile(path, state.Dump()),
-               "cannot write study state " << path);
+  WriteStudyFile(path, state.Dump());
 }
 
 void StudyManager::EmitAdminEvent(const char* event, const char* counter,
@@ -243,25 +224,17 @@ bool StudyManager::CreateStudy(const std::string& name, const Json& config,
   if (!ValidStudyName(name)) return false;
   const std::size_t quota =
       max_leases.value_or(options_.default_max_leases);
-  Shard& shard = ShardFor(name);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.studies.count(name) != 0) return false;
+  if (studies_.count(name) != 0) return false;
   auto study = BuildStudy(name, config, quota);
   if (study == nullptr) return false;
-  shard.studies.emplace(name, std::move(study));
-  ++study_count_;
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.created;
-  }
+  studies_.emplace(name, std::move(study));
+  ++stats_.created;
   EmitAdminEvent("study_created", "studies.created", name, now);
   return true;
 }
 
 bool StudyManager::SuspendStudy(const std::string& name, double now) {
-  Shard& shard = ShardFor(name);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  Study* study = FindLocked(shard, name);
+  Study* study = Find(name);
   if (study == nullptr) return false;
   if (study->suspended) return true;  // idempotent
   study->suspended = true;
@@ -272,18 +245,13 @@ bool StudyManager::SuspendStudy(const std::string& name, double now) {
   // cannot expire the paused leases.
   study->server->SetFrozen(true);
   if (durable()) WriteStateFile(*study);
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.suspended;
-  }
+  ++stats_.suspended;
   EmitAdminEvent("study_suspended", "studies.suspended", name, now);
   return true;
 }
 
 bool StudyManager::ResumeStudy(const std::string& name, double now) {
-  Shard& shard = ShardFor(name);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  Study* study = FindLocked(shard, name);
+  Study* study = Find(name);
   if (study == nullptr) return false;
   if (!study->suspended) return true;  // idempotent
   const double delta = now - study->suspended_at;
@@ -305,120 +273,90 @@ bool StudyManager::ResumeStudy(const std::string& name, double now) {
   study->suspended = false;
   study->suspended_at = 0;
   if (durable()) WriteStateFile(*study);
-  IndexDeadline(shard, *study);
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.resumed;
-  }
+  IndexDeadline(*study);
+  ++stats_.resumed;
   EmitAdminEvent("study_resumed", "studies.resumed", name, now);
   return true;
 }
 
 bool StudyManager::DeleteStudy(const std::string& name, double now) {
-  Shard& shard = ShardFor(name);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.studies.find(name);
-  if (it == shard.studies.end()) return false;
+  const auto it = studies_.find(name);
+  if (it == studies_.end()) return false;
   if (durable()) {
     // Tombstone first: once this write is durable the delete is committed —
     // a crash anywhere after it finishes the removal on recovery. Without
     // it, a crash mid-remove_all could resurrect half a study.
     const std::string marker =
         (std::filesystem::path(StudyDir(name)) / "tombstone").string();
-    HT_CHECK_MSG(WriteFile(marker, "{}"),
-                 "cannot write tombstone " << marker);
+    WriteStudyFile(marker, "{}");
   }
-  shard.studies.erase(it);  // closes the study's journal writer
+  studies_.erase(it);  // closes the study's journal writer
   if (durable()) std::filesystem::remove_all(StudyDir(name));
-  --study_count_;
-  {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
-    ++stats_.deleted;
-  }
+  ++stats_.deleted;
   EmitAdminEvent("study_deleted", "studies.deleted", name, now);
   return true;
 }
 
 std::vector<StudyInfo> StudyManager::ListStudies() const {
   std::vector<StudyInfo> infos;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (const auto& [name, study] : shard->studies) {
-      StudyInfo info;
-      info.name = name;
-      info.suspended = study->suspended;
-      info.max_leases = study->max_leases;
-      const ServerStats stats = study->server->stats();
-      info.active_leases = stats.active_leases;
-      info.jobs_assigned = stats.jobs_assigned;
-      info.jobs_completed = stats.jobs_completed;
-      infos.push_back(std::move(info));
-    }
+  infos.reserve(studies_.size());
+  for (const auto& [name, study] : studies_) {
+    StudyInfo info;
+    info.name = name;
+    info.suspended = study->suspended;
+    info.max_leases = study->max_leases;
+    const ServerStats stats = study->server->stats();
+    info.active_leases = stats.active_leases;
+    info.jobs_assigned = stats.jobs_assigned;
+    info.jobs_completed = stats.jobs_completed;
+    infos.push_back(std::move(info));
   }
-  std::sort(infos.begin(), infos.end(),
-            [](const StudyInfo& a, const StudyInfo& b) {
-              return a.name < b.name;
-            });
   return infos;
 }
 
 StudyManagerStats StudyManager::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
   StudyManagerStats stats = stats_;
-  stats.studies = study_count_.load();
+  stats.studies = studies_.size();
   return stats;
 }
 
-std::size_t StudyManager::study_count() const { return study_count_.load(); }
+std::size_t StudyManager::study_count() const { return studies_.size(); }
 
 TuningServer* StudyManager::FindServer(const std::string& name) {
-  Shard& shard = ShardFor(name);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  Study* study = FindLocked(shard, name);
+  Study* study = Find(name);
   return study == nullptr ? nullptr : study->server;
 }
 
 Scheduler* StudyManager::FindScheduler(const std::string& name) {
-  Shard& shard = ShardFor(name);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  Study* study = FindLocked(shard, name);
+  Study* study = Find(name);
   return study == nullptr ? nullptr : study->scheduler.get();
 }
 
 void StudyManager::Tick(double now) {
-  for (auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mu);
-    while (!shard.deadlines.empty() &&
-           shard.deadlines.top().deadline <= now) {
-      const DeadlineEntry entry = shard.deadlines.top();
-      shard.deadlines.pop();
-      Study* study = FindLocked(shard, entry.study);
-      if (study == nullptr) continue;  // deleted: stale entry
-      if (!study->indexed_valid ||
-          study->indexed_deadline != entry.deadline) {
-        continue;  // superseded by a newer entry: stale
-      }
-      study->indexed_valid = false;
-      // The satellite contract: a suspended study's leases are frozen, so
-      // the idle-expiry timer driving this Tick must skip it entirely.
-      // Resume re-indexes the study.
-      if (study->suspended) continue;
-      const auto earliest = study->server->EarliestDeadline();
-      if (!earliest) continue;
-      if (*earliest <= now) study->service->Tick(now);
-      IndexDeadline(shard, *study);
+  while (!deadlines_.empty() && deadlines_.top().deadline <= now) {
+    const DeadlineEntry entry = deadlines_.top();
+    deadlines_.pop();
+    Study* study = Find(entry.study);
+    if (study == nullptr) continue;  // deleted: stale entry
+    if (!study->indexed_valid || study->indexed_deadline != entry.deadline) {
+      continue;  // superseded by a newer entry: stale
     }
+    study->indexed_valid = false;
+    // The satellite contract: a suspended study's leases are frozen, so the
+    // idle-expiry timer driving this Tick must skip it entirely. Resume
+    // re-indexes the study.
+    if (study->suspended) continue;
+    const auto earliest = study->server->EarliestDeadline();
+    if (!earliest) continue;
+    if (*earliest <= now) study->service->Tick(now);
+    IndexDeadline(*study);
   }
 }
 
 Json StudyManager::HandleScoped(const std::string& type, const Json& message,
                                 const std::string& study_name, double now) {
-  Shard& shard = ShardFor(study_name);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  Study* study = FindLocked(shard, study_name);
+  Study* study = Find(study_name);
   if (study == nullptr) {
-    std::lock_guard<std::mutex> stats_lock(stats_mu_);
     ++stats_.unknown_study_errors;
     return Error("unknown study '" + study_name + "'");
   }
@@ -430,7 +368,6 @@ Json StudyManager::HandleScoped(const std::string& type, const Json& message,
     study->service->Tick(now);
     const std::size_t active = study->server->stats().active_leases;
     if (active >= study->max_leases) {
-      std::lock_guard<std::mutex> stats_lock(stats_mu_);
       ++stats_.quota_denials;
       return NoJobReply();
     }
@@ -442,13 +379,13 @@ Json StudyManager::HandleScoped(const std::string& type, const Json& message,
         Json clamped = message;
         clamped.Set("count", Json(static_cast<std::int64_t>(remaining)));
         Json reply = study->service->HandleMessage(clamped, now);
-        IndexDeadline(shard, *study);
+        IndexDeadline(*study);
         return reply;
       }
     }
   }
   Json reply = study->service->HandleMessage(message, now);
-  IndexDeadline(shard, *study);
+  IndexDeadline(*study);
   return reply;
 }
 
@@ -474,45 +411,35 @@ Json StudyManager::HandleAnyStudy(const std::string& type,
 
   Json entries = JsonArray{};
   std::size_t granted = 0;
-  const std::size_t shard_count = shards_.size();
-  // Rotate the starting shard across calls so shard 0's studies are not
-  // structurally favored; within a shard the cursor rotates across ready
-  // studies. One grant per ready study per pass = round-robin fairness.
-  const std::size_t start = next_shard_.fetch_add(1) % shard_count;
+  // Wrap-around passes from the cursor; each pass offers every ready study
+  // at most one grant, and the cursor moves past each study that grants —
+  // exact round-robin across ready studies.
   bool progress = true;
   while (granted < want && progress) {
     progress = false;
-    for (std::size_t si = 0; si < shard_count && granted < want; ++si) {
-      Shard& shard = *shards_[(start + si) % shard_count];
-      std::lock_guard<std::mutex> lock(shard.mu);
-      auto& studies = shard.studies;
-      if (studies.empty()) continue;
-      auto it = studies.lower_bound(shard.next_study);
-      if (it == studies.end()) it = studies.begin();
-      const std::size_t cycle = studies.size();
-      for (std::size_t tried = 0; tried < cycle && granted < want;
-           ++tried) {
-        Study& study = *it->second;
-        ++it;
-        if (it == studies.end()) it = studies.begin();
-        if (study.suspended) continue;
-        if (study.max_leases > 0 &&
-            study.server->stats().active_leases >= study.max_leases) {
-          continue;
-        }
-        Json reply = study.service->HandleMessage(probe, now);
-        IndexDeadline(shard, study);
-        if (reply.at("type").AsString() != "job") continue;
-        Json entry = JsonObject{};
-        entry.Set("job_id", reply.at("job_id"));
-        entry.Set("job", reply.at("job"));
-        entry.Set("study", Json(study.name));
-        entries.PushBack(std::move(entry));
-        ++granted;
-        progress = true;
-        // The next probe starts after the study that just granted.
-        shard.next_study = it->first;
+    auto it = studies_.lower_bound(next_study_);
+    for (std::size_t tried = 0; tried < studies_.size() && granted < want;
+         ++tried) {
+      if (it == studies_.end()) it = studies_.begin();
+      Study& study = *it->second;
+      ++it;
+      if (study.suspended) continue;
+      if (study.max_leases > 0 &&
+          study.server->stats().active_leases >= study.max_leases) {
+        continue;
       }
+      Json reply = study.service->HandleMessage(probe, now);
+      IndexDeadline(study);
+      if (reply.at("type").AsString() != "job") continue;
+      Json entry = JsonObject{};
+      entry.Set("job_id", reply.at("job_id"));
+      entry.Set("job", reply.at("job"));
+      entry.Set("study", Json(study.name));
+      entries.PushBack(std::move(entry));
+      ++granted;
+      progress = true;
+      // The next probe starts after the study that just granted.
+      next_study_ = it == studies_.end() ? studies_.begin()->first : it->first;
     }
   }
 
@@ -574,12 +501,8 @@ Json StudyManager::HandleAdmin(const std::string& type, const Json& message,
     }
     const Json config =
         message.Has("config") ? message.at("config") : Json(JsonObject{});
-    {
-      Shard& shard = ShardFor(name);
-      std::lock_guard<std::mutex> lock(shard.mu);
-      if (FindLocked(shard, name) != nullptr) {
-        return Error("study '" + name + "' already exists");
-      }
+    if (Find(name) != nullptr) {
+      return Error("study '" + name + "' already exists");
     }
     if (!CreateStudy(name, config, now, max_leases)) {
       // The name was valid and free, so the factory said no.
@@ -618,7 +541,7 @@ Json StudyManager::HandleMessage(const Json& message, double now) {
     }
     const std::string study = message.Has("study")
                                   ? message.at("study").AsString()
-                                  : options_.default_study;
+                                  : kDefaultStudy;
     if (study == "*") return HandleAnyStudy(type, message, now);
     return HandleScoped(type, message, study, now);
   } catch (const std::exception& error) {

@@ -15,19 +15,20 @@
 //   {"type":"list_studies"}              -> {"type":"studies",...}
 //
 // Lease messages (request_job / request_jobs / heartbeat / report) carry an
-// optional "study" field. An absent field routes to the default study, so a
-// single-tenant client speaks the exact pre-manager protocol; the study
-// "*" asks for work from ANY ready study, allocated fairly (round-robin
-// across ready studies, FIFO within one — one hungry study cannot starve
-// the rest), with each granted entry naming the study its report must
+// optional "study" field. An absent field routes to the study named
+// "default", so a single-tenant client speaks the exact pre-manager
+// protocol; the study "*" asks for work from ANY ready study, allocated
+// round-robin: one name-ordered cursor walks the ready studies, so N*K
+// single "*" grants over K ready studies give each exactly N, and a batch
+// of K gives each one. Each granted entry names the study its report must
 // route back to.
 //
-// Sharding: studies live in N shards (hash of the study id). Each shard
-// has its own mutex, its own lease-deadline index (a lazy-deletion min-heap
-// of per-study earliest deadlines, so an idle Tick touches only the shards
-// and studies actually due), and its own round-robin cursor — unrelated
-// studies never contend on one lock. Within one study the single-threaded
-// MessageService contract still holds: the shard mutex serializes it.
+// One study index: studies live in one name-ordered map with one
+// lease-deadline index (a lazy-deletion min-heap of per-study earliest
+// deadlines, so an idle Tick touches only the studies actually due) and one
+// "*" cursor. Like every MessageService, the manager is single-threaded:
+// its transport (NetServer's poll thread) calls it from one thread at a
+// time, so it takes no locks.
 //
 // Durability (root non-empty): each study persists under
 // <root>/studies/<name>/ — `study.json` (the factory config; the journal
@@ -44,12 +45,10 @@
 // "shift" control record so recovery reproduces it).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <queue>
 #include <string>
@@ -67,9 +66,8 @@ class Telemetry;
 
 /// Builds a study's scheduler from its creation config. The factory is the
 /// deployment's policy hook: it decides which scheduler kinds and search
-/// spaces studies may request. Must be thread-safe (shards call it under
-/// different locks) and deterministic (recovery re-invokes it with the
-/// persisted config). Returns nullptr to reject the config.
+/// spaces studies may request. Must be deterministic (recovery re-invokes
+/// it with the persisted config). Returns nullptr to reject the config.
 using StudySchedulerFactory =
     std::function<std::unique_ptr<Scheduler>(const Json& config)>;
 
@@ -81,9 +79,6 @@ using StudySchedulerFactory =
 StudySchedulerFactory MakeStudySchedulerFactory(SearchSpace space);
 
 struct StudyManagerOptions {
-  /// Number of study shards (>=1). Hash-of-name placement; more shards =
-  /// less lock contention between unrelated studies.
-  std::size_t shards = 4;
   /// Per-study server template. `journal` must be unset (DurableServer
   /// installs its own) and `study_label` is overwritten with each study's
   /// name.
@@ -98,12 +93,11 @@ struct StudyManagerOptions {
   /// Quota applied to studies created without an explicit max_leases
   /// (0 = unlimited).
   std::size_t default_max_leases = 0;
-  /// Where study-less messages route (the single-tenant compatibility
-  /// path).
-  std::string default_study = "default";
-  /// Create the default study at construction with this config (skipped
-  /// when recovery already restored it). Null = no auto-creation; study-less
-  /// messages then error until someone creates the default study.
+  /// Create the study named "default" — where study-less messages route,
+  /// the single-tenant compatibility path — at construction with this
+  /// config (skipped when recovery already restored it). Null = no
+  /// auto-creation; study-less messages then error until someone creates
+  /// the default study.
   Json default_config;
   /// Optional observability sink (not owned; must outlive the manager).
   Telemetry* telemetry = nullptr;
@@ -143,18 +137,15 @@ class StudyManager final : public MessageService {
 
   /// Routes one protocol message: admin verbs are handled here, lease
   /// messages go to the study named by the "study" field (absent = the
-  /// default study, "*" = fair allocation across all ready studies).
-  /// Unknown studies and malformed messages get {"type":"error"} replies.
-  /// Thread-safe: concurrent calls for studies in different shards run in
-  /// parallel.
+  /// default study, "*" = round-robin across all ready studies). Unknown
+  /// studies and malformed messages get {"type":"error"} replies.
   Json HandleMessage(const Json& message, double now) override;
 
   /// Expires overdue leases across all studies. Suspended studies are
   /// skipped — their leases are frozen (satellite contract: an idle-expiry
   /// timer upstream must never expire a paused study's leases). Cost is
-  /// O(due studies), not O(studies): each shard keeps a lazy min-heap of
-  /// per-study earliest deadlines and only touches the studies whose heap
-  /// entries are due.
+  /// O(due studies), not O(studies): a lazy min-heap of per-study earliest
+  /// deadlines touches only the studies whose heap entries are due.
   void Tick(double now) override;
 
   // Typed admin API (the wire verbs call straight into these).
@@ -177,9 +168,7 @@ class StudyManager final : public MessageService {
   std::size_t study_count() const;
 
   /// Harness/test introspection: the study's underlying server/scheduler,
-  /// or nullptr if unknown. NOT thread-safe against concurrent mutation of
-  /// the same study — quiesce the manager first (tests and post-run dumps
-  /// do).
+  /// or nullptr if unknown.
   TuningServer* FindServer(const std::string& name);
   Scheduler* FindScheduler(const std::string& name);
 
@@ -197,15 +186,15 @@ class StudyManager final : public MessageService {
     TuningServer* server = nullptr;
     bool suspended = false;
     double suspended_at = 0;
-    /// The smallest deadline currently queued for this study in the shard's
-    /// tick index (valid => exactly one live entry at that deadline exists;
+    /// The smallest deadline currently queued for this study in the tick
+    /// index (valid => exactly one live entry at that deadline exists;
     /// later duplicates are discarded as stale on pop). Keeps the index at
     /// ~one entry per study instead of one per message.
     double indexed_deadline = 0;
     bool indexed_valid = false;
   };
 
-  /// One (deadline, study) entry in a shard's lazy-deletion tick index.
+  /// One (deadline, study) entry in the lazy-deletion tick index.
   struct DeadlineEntry {
     double deadline = 0;
     std::string study;
@@ -215,25 +204,10 @@ class StudyManager final : public MessageService {
     }
   };
 
-  struct Shard {
-    mutable std::mutex mu;
-    std::map<std::string, std::unique_ptr<Study>> studies;
-    std::priority_queue<DeadlineEntry, std::vector<DeadlineEntry>,
-                        std::greater<DeadlineEntry>>
-        deadlines;
-    /// Fair-allocation cursor: the name the next "*" grant probe starts
-    /// from (names at/after it, wrapping). Deleted names are fine — probes
-    /// lower_bound.
-    std::string next_study;
-  };
-
-  Shard& ShardFor(const std::string& name);
-  const Shard& ShardFor(const std::string& name) const;
-  /// Requires the shard lock.
-  Study* FindLocked(Shard& shard, const std::string& name);
-  /// Pushes the study's current earliest lease deadline into the shard's
-  /// tick index. Requires the shard lock.
-  void IndexDeadline(Shard& shard, Study& study);
+  Study* Find(const std::string& name);
+  /// Pushes the study's current earliest lease deadline into the tick
+  /// index.
+  void IndexDeadline(Study& study);
   std::string StudyDir(const std::string& name) const;
   bool durable() const { return !options_.durability_root.empty(); }
   /// Builds the Study object (scheduler via factory + server stack).
@@ -259,11 +233,13 @@ class StudyManager final : public MessageService {
 
   StudySchedulerFactory factory_;
   StudyManagerOptions options_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::size_t> study_count_{0};
-  /// "*" allocation: the shard the next any-study probe starts from.
-  std::atomic<std::size_t> next_shard_{0};
-  mutable std::mutex stats_mu_;
+  std::map<std::string, std::unique_ptr<Study>> studies_;
+  std::priority_queue<DeadlineEntry, std::vector<DeadlineEntry>,
+                      std::greater<DeadlineEntry>>
+      deadlines_;
+  /// "*" cursor: the name the next grant probe starts from (names at/after
+  /// it, wrapping). Deleted names are fine — probes lower_bound.
+  std::string next_study_;
   StudyManagerStats stats_;
 };
 

@@ -1,13 +1,14 @@
 // Multi-tenant StudyManager: message routing by study id, the admin
 // vocabulary, suspension (leases freeze, deadlines shift on resume),
-// per-study quotas, "*" fair allocation, shard-count invariance, and
-// per-study durability (recovery, tombstoned deletes, held-report routing
-// across a server restart).
+// per-study quotas, "*" round-robin allocation, and per-study durability
+// (recovery, tombstoned deletes, held-report routing across a server
+// restart).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -212,6 +213,44 @@ TEST(StudyManager, RejectsUnknownAndMalformed) {
   EXPECT_EQ(ReplyType(manager.HandleMessage(no_type, 0.0)), "error");
 }
 
+TEST(StudyManager, ScriptedSessionExpiresAllButSuspendedLeases) {
+  StudyManagerOptions options = BaseOptions();
+  options.default_config = Json();
+  StudyManager manager(MakeStudySchedulerFactory(StudySpace()), options);
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_TRUE(manager.CreateStudy("study-" + std::to_string(i),
+                                    RandomConfig(i), 0.0));
+  }
+  // Scoped traffic on every study; half of the leases are reported.
+  for (int i = 0; i < 12; ++i) {
+    const std::string name = "study-" + std::to_string(i);
+    const Json grant = manager.HandleMessage(RequestJob(100 + i, name), 0.0);
+    ASSERT_EQ(ReplyType(grant), "job");
+    if (i % 2 == 0) {
+      ASSERT_EQ(ReplyType(manager.HandleMessage(
+                    Report(100 + i, grant.at("job_id").AsInt(), 0.5, name),
+                    1.0)),
+                "ack");
+    }
+  }
+  ASSERT_TRUE(manager.SuspendStudy("study-3", 2.0));
+  ASSERT_TRUE(manager.DeleteStudy("study-7", 2.0));
+  manager.Tick(100.0);  // expires every un-reported, un-suspended lease
+
+  // study-3 is frozen with its lease; every other unreported lease expired.
+  const auto infos = manager.ListStudies();
+  ASSERT_EQ(infos.size(), 11u);
+  for (const StudyInfo& info : infos) {
+    if (info.name == "study-3") {
+      EXPECT_TRUE(info.suspended);
+      EXPECT_EQ(info.active_leases, 1u);
+    } else {
+      EXPECT_EQ(info.active_leases, 0u);
+    }
+    EXPECT_NE(info.name, "study-7");  // deleted
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Suspension: leases freeze, deadlines shift on resume.
 
@@ -342,60 +381,41 @@ TEST(StudyFairAllocation, RoundRobinsAcrossReadyStudies) {
             "error");
 }
 
-// ---------------------------------------------------------------------------
-// Sharding.
-
-TEST(StudySharding, BehaviorIsShardCountInvariant) {
-  // The same scripted session against 1 and 16 shards must produce the
-  // same observable state — sharding is a lock-contention knob, not a
-  // semantic one.
-  std::vector<std::vector<StudyInfo>> results;
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{16}}) {
-    StudyManagerOptions options = BaseOptions();
-    options.shards = shards;
-    options.default_config = Json();
-    StudyManager manager(MakeStudySchedulerFactory(StudySpace()), options);
-    for (int i = 0; i < 12; ++i) {
-      ASSERT_TRUE(manager.CreateStudy("study-" + std::to_string(i),
-                                      RandomConfig(i), 0.0));
-    }
-    // Scoped traffic on every study, then expire half of it.
-    for (int i = 0; i < 12; ++i) {
-      const std::string name = "study-" + std::to_string(i);
-      const Json grant =
-          manager.HandleMessage(RequestJob(100 + i, name), 0.0);
-      ASSERT_EQ(ReplyType(grant), "job");
-      if (i % 2 == 0) {
-        ASSERT_EQ(ReplyType(manager.HandleMessage(
-                      Report(100 + i, grant.at("job_id").AsInt(), 0.5, name),
-                      1.0)),
-                  "ack");
-      }
-    }
-    ASSERT_TRUE(manager.SuspendStudy("study-3", 2.0));
-    ASSERT_TRUE(manager.DeleteStudy("study-7", 2.0));
-    manager.Tick(100.0);  // expires every un-reported, un-suspended lease
-    results.push_back(manager.ListStudies());
+TEST(StudyFairAllocation, WildcardIsExactlyRoundRobin) {
+  // These six names spread unevenly under hash-of-name placement (per-
+  // bucket cursors granted them 150/50/50/50/150/150 at 4 buckets); "*"
+  // must depend only on the set of ready studies, never on placement.
+  StudyManagerOptions options = BaseOptions();
+  options.default_config = Json();
+  StudyManager manager(MakeStudySchedulerFactory(StudySpace()), options);
+  const std::vector<std::string> names = {"a", "b", "c", "d", "e", "f"};
+  std::int64_t seed = 20;
+  for (const std::string& name : names) {
+    ASSERT_TRUE(manager.CreateStudy(name, RandomConfig(seed++), 0.0));
   }
 
-  ASSERT_EQ(results[0].size(), results[1].size());
-  for (std::size_t i = 0; i < results[0].size(); ++i) {
-    EXPECT_EQ(results[0][i].name, results[1][i].name);
-    EXPECT_EQ(results[0][i].suspended, results[1][i].suspended);
-    EXPECT_EQ(results[0][i].active_leases, results[1][i].active_leases);
-    EXPECT_EQ(results[0][i].jobs_assigned, results[1][i].jobs_assigned);
-    EXPECT_EQ(results[0][i].jobs_completed, results[1][i].jobs_completed);
+  constexpr int kRounds = 100;
+  std::map<std::string, int> grants;
+  for (int i = 0; i < kRounds * static_cast<int>(names.size()); ++i) {
+    const Json grant = manager.HandleMessage(RequestJob(1 + i, "*"), 0.0);
+    ASSERT_EQ(ReplyType(grant), "job");
+    ++grants[grant.at("study").AsString()];
   }
-  // study-3 is frozen with its lease; every other unreported lease expired.
-  const auto& infos = results[0];
-  for (const StudyInfo& info : infos) {
-    if (info.name == "study-3") {
-      EXPECT_TRUE(info.suspended);
-      EXPECT_EQ(info.active_leases, 1u);
-    } else {
-      EXPECT_EQ(info.active_leases, 0u);
-    }
-    EXPECT_NE(info.name, "study-7");  // deleted
+  for (const std::string& name : names) {
+    EXPECT_EQ(grants[name], kRounds) << "study " << name;
+  }
+
+  // A batch as large as the ready set grants each study exactly once.
+  const Json batch = manager.HandleMessage(
+      RequestJobs(9999, static_cast<std::int64_t>(names.size()), "*"), 1.0);
+  ASSERT_EQ(ReplyType(batch), "jobs");
+  std::map<std::string, int> batch_grants;
+  for (const Json& entry : batch.at("jobs").AsArray()) {
+    ++batch_grants[entry.at("study").AsString()];
+  }
+  ASSERT_EQ(batch_grants.size(), names.size());
+  for (const auto& [name, count] : batch_grants) {
+    EXPECT_EQ(count, 1) << "study " << name;
   }
 }
 
@@ -497,7 +517,6 @@ TEST(StudyDurability, RecoversAThousandStudies) {
   StudyManagerOptions options = BaseOptions();
   options.durability_root = root;
   options.default_config = Json();
-  options.shards = 16;
   options.sync = SyncPolicy::kNone;  // throughput: this test is about scale
   {
     StudyManager manager(MakeStudySchedulerFactory(StudySpace()), options);

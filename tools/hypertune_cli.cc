@@ -109,10 +109,11 @@ Network mode:
   --lease-timeout=T      (serve) lease timeout in wall seconds (default 60)
   --multi-study          (serve) host a StudyManager instead of one study:
                          clients create/suspend/resume/delete/list studies
-                         over the wire; --tuner/--seed set the default
-                         study's config, --state-dir roots per-study
+                         over the wire in one single-threaded study
+                         index; --tuner/--seed set the config of the
+                         default study (named "default", where study-less
+                         messages go), --state-dir roots per-study
                          durability under DIR/studies/<name>/
-  --shards=N             (serve --multi-study) lock shards (default 4)
   --max-leases=N         (serve --multi-study) default per-study quota
                          (default 0 = unlimited)
   --connect=HOST:PORT    drive --workers simulated workers against a served
@@ -228,7 +229,6 @@ int RunServeMultiStudy(const Flags& flags) {
       benchmarks::ByName(flags.Get("benchmark", "cifar_arch"), seed);
 
   StudyManagerOptions options;
-  options.shards = static_cast<std::size_t>(flags.GetInt("shards", 4));
   options.server =
       ServerOptions{.lease_timeout = flags.GetDouble("lease-timeout", 60),
                     .track_recommendations = true};
@@ -251,9 +251,8 @@ int RunServeMultiStudy(const Flags& flags) {
   NetServer net(manager, net_options);
   net.Start();
   std::cout << "serving studies (default tuner " << flags.Get("tuner", "asha")
-            << " on " << flags.Get("benchmark", "cifar_arch") << ", "
-            << options.shards << " shards) at " << net_options.bind_address
-            << ":" << net.port() << "\n";
+            << " on " << flags.Get("benchmark", "cifar_arch") << ") at "
+            << net_options.bind_address << ":" << net.port() << "\n";
 
   ServeUntilInterrupted(flags.GetDouble("serve-seconds", 0));
   net.Stop();

@@ -40,7 +40,6 @@ struct MultiStudyOptions {
   /// messages and rebuilt from this directory. 0 = never crash.
   std::string state_dir;
   std::size_t crash_at = 0;
-  std::size_t shards = 16;
   std::size_t snapshot_every = 64;
   SyncPolicy sync = SyncPolicy::kEveryN;
 };
@@ -76,7 +75,6 @@ inline MultiStudyResult RunMultiStudyDecisions(const MultiStudyOptions& opts) {
   DumpEnv env;
 
   StudyManagerOptions manager_options;
-  manager_options.shards = opts.shards;
   manager_options.server =
       ServerOptions{.lease_timeout = 30, .track_recommendations = true};
   manager_options.durability_root = opts.state_dir;
