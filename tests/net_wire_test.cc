@@ -3,8 +3,10 @@
 // protocol vocabulary (DESIGN.md §8).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -454,6 +456,267 @@ TEST(WireCodec, RejectsTrailingPayloadBytes) {
   const auto frame = decoder.Next();
   ASSERT_TRUE(frame.has_value());
   EXPECT_THROW(DecodeMessage(*frame), CheckError);
+}
+
+// --- Golden payload bytes: one fixed message per WireType ---
+//
+// The round-trip property test would pass a change that moved both codec
+// halves the same way; these frames pin the bytes an old peer expects.
+// Each hex string is a complete frame (header + payload) recorded from the
+// hand-written codec that preceded the schema table. Never edit one to make
+// a test pass: a changed byte is a wire break and needs a kWireVersion bump.
+
+Json Object(std::initializer_list<std::pair<const char*, Json>> fields) {
+  Json object = JsonObject{};
+  for (const auto& [key, value] : fields) object.Set(key, value);
+  return object;
+}
+
+Json GoldenJob(std::int64_t trial) {
+  return Object({{"trial", Json(trial)},
+                 {"config", Object({{"lr", Json(0.125)},
+                                    {"layers", Json(std::int64_t{4})},
+                                    {"act", Json("relu")}})},
+                 {"from", Json(1.0)},
+                 {"to", Json(3.0)},
+                 {"rung", Json(std::int64_t{1})},
+                 {"bracket", Json(std::int64_t{0})},
+                 {"tag", Json(std::int64_t{-2})}});
+}
+
+Json GoldenEntries(bool scoped) {
+  Json jobs = JsonArray{};
+  for (std::int64_t i = 0; i < 2; ++i) {
+    Json entry = Object({{"job_id", Json(100 + i)}, {"job", GoldenJob(i)}});
+    if (scoped) entry.Set("study", Json(i == 0 ? "a" : "bb"));
+    jobs.PushBack(std::move(entry));
+  }
+  return jobs;
+}
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  for (const char byte : bytes) {
+    const auto value = static_cast<unsigned char>(byte);
+    hex += kDigits[value >> 4];
+    hex += kDigits[value & 0xF];
+  }
+  return hex;
+}
+
+struct GoldenFrame {
+  WireType type;
+  Json message;
+  std::string hex;
+};
+
+std::vector<GoldenFrame> GoldenFrames() {
+  const Json worker(std::int64_t{3});
+  const Json job_id(std::int64_t{17});
+  const Json study("s1");
+  return {
+      {WireType::kRequestJob,
+       Object({{"type", Json("request_job")}, {"worker", worker}}),
+       "48544e500100010010000000ab67ee0f00000000000029400300000000000000"},
+      {WireType::kRequestJobs,
+       Object({{"type", Json("request_jobs")},
+               {"worker", worker},
+               {"count", Json(std::int64_t{4})}}),
+       "48544e50010002001800000001b540f600000000000029400300000000000000"
+       "0400000000000000"},
+      {WireType::kHeartbeat,
+       Object({{"type", Json("heartbeat")},
+               {"worker", worker},
+               {"job_id", job_id}}),
+       "48544e5001000300180000004e8a1bc200000000000029400300000000000000"
+       "1100000000000000"},
+      {WireType::kReport,
+       Object({{"type", Json("report")},
+               {"worker", worker},
+               {"job_id", job_id},
+               {"loss", Json(0.25)}}),
+       "48544e500100040020000000cb1bc9b800000000000029400300000000000000"
+       "1100000000000000000000000000d03f"},
+      {WireType::kCreateStudy,
+       Object({{"type", Json("create_study")},
+               {"study", study},
+               {"config", Object({{"kind", Json("asha")},
+                                  {"seed", Json(std::int64_t{1})},
+                                  {"eta", Json(3.5)}})},
+               {"max_leases", Json(std::int64_t{8})}}),
+       "48544e500100050043000000a9a965ae00000000000029400200733103000400"
+       "6b696e6402040000006173686104007365656401010000000000000003006574"
+       "61000000000000000c40010800000000000000"},
+      {WireType::kSuspendStudy,
+       Object({{"type", Json("suspend_study")}, {"study", study}}),
+       "48544e50010006000c0000005c2840fc000000000000294002007331"},
+      {WireType::kResumeStudy,
+       Object({{"type", Json("resume_study")}, {"study", study}}),
+       "48544e50010007000c0000005c2840fc000000000000294002007331"},
+      {WireType::kDeleteStudy,
+       Object({{"type", Json("delete_study")}, {"study", study}}),
+       "48544e50010008000c0000005c2840fc000000000000294002007331"},
+      {WireType::kListStudies, Object({{"type", Json("list_studies")}}),
+       "48544e5001000900080000001201b8570000000000002940"},
+      {WireType::kRequestJobStudy,
+       Object({{"type", Json("request_job")},
+               {"worker", worker},
+               {"study", study}}),
+       "48544e5001000a0014000000cabd315900000000000029400300000000000000"
+       "02007331"},
+      {WireType::kRequestJobsStudy,
+       Object({{"type", Json("request_jobs")},
+               {"worker", worker},
+               {"count", Json(std::int64_t{4})},
+               {"study", study}}),
+       "48544e5001000b001c0000002a7e0f0100000000000029400300000000000000"
+       "040000000000000002007331"},
+      {WireType::kHeartbeatStudy,
+       Object({{"type", Json("heartbeat")},
+               {"worker", worker},
+               {"job_id", job_id},
+               {"study", study}}),
+       "48544e5001000c001c000000c6e4b49500000000000029400300000000000000"
+       "110000000000000002007331"},
+      {WireType::kReportStudy,
+       Object({{"type", Json("report")},
+               {"worker", worker},
+               {"job_id", job_id},
+               {"loss", Json(0.25)},
+               {"study", study}}),
+       "48544e5001000d0024000000b74f3cb000000000000029400300000000000000"
+       "1100000000000000000000000000d03f02007331"},
+      {WireType::kJob,
+       Object({{"type", Json("job")},
+               {"job_id", job_id},
+               {"job", GoldenJob(5)},
+               {"lease_timeout", Json(60.0)}}),
+       "48544e5001001000760000000d5f2b1d00000000000029401100000000000000"
+       "0500000000000000030002006c7200000000000000c03f06006c617965727301"
+       "04000000000000000300616374020400000072656c75000000000000f03f0000"
+       "00000000084001000000000000000000000000000000feffffffffffffff0000"
+       "000000004e40"},
+      {WireType::kJobs,
+       Object({{"type", Json("jobs")},
+               {"jobs", GoldenEntries(false)},
+               {"lease_timeout", Json(60.0)},
+               {"retry_after", Json(15.0)}}),
+       "48544e5001001100e9000000e8baf79b00000000000029400200000064000000"
+       "000000000000000000000000030002006c7200000000000000c03f06006c6179"
+       "6572730104000000000000000300616374020400000072656c75000000000000"
+       "f03f000000000000084001000000000000000000000000000000feffffffffff"
+       "ffff65000000000000000100000000000000030002006c7200000000000000c0"
+       "3f06006c61796572730104000000000000000300616374020400000072656c75"
+       "000000000000f03f000000000000084001000000000000000000000000000000"
+       "feffffffffffffff0000000000004e40010000000000002e40"},
+      {WireType::kNoJob,
+       Object({{"type", Json("no_job")}, {"retry_after", Json(15.0)}}),
+       "48544e500100120010000000f428bafc00000000000029400000000000002e40"},
+      {WireType::kAck, Object({{"type", Json("ack")}}), "48544e500100130009000000c426ec21000000000000294000"},
+      {WireType::kAck,
+       Object({{"type", Json("ack")}, {"stale", Json(true)}}),
+       "48544e5001001300090000007e77e5b8000000000000294003"},
+      {WireType::kAck,
+       Object({{"type", Json("ack")}, {"stale", Json(false)}}),
+       "48544e5001001300090000005216eb56000000000000294001"},
+      {WireType::kLeaseLost, Object({{"type", Json("lease_lost")}}), "48544e5001001400080000001201b8570000000000002940"},
+      {WireType::kError,
+       Object({{"type", Json("error")}, {"message", Json("bad Ω")}}),
+       "48544e5001001500120000001870c1ae00000000000029400600000062616420"
+       "cea9"},
+      {WireType::kStudies,
+       Object({{"type", Json("studies")},
+               {"studies",
+                JsonArray{Object({{"study", Json("a")},
+                                  {"state", Json("active")},
+                                  {"max_leases", Json(std::int64_t{0})},
+                                  {"active_leases", Json(std::int64_t{1})},
+                                  {"jobs_assigned", Json(std::int64_t{2})},
+                                  {"jobs_completed", Json(std::int64_t{3})}}),
+                          Object({{"study", Json("b")},
+                                  {"state", Json("suspended")},
+                                  {"max_leases", Json(std::int64_t{4})},
+                                  {"active_leases", Json(std::int64_t{5})},
+                                  {"jobs_assigned", Json(std::int64_t{6})},
+                                  {"jobs_completed", Json(std::int64_t{7})}})}}}),
+       "48544e5001001600540000004da147cb00000000000029400200000001006100"
+       "0000000000000000010000000000000002000000000000000300000000000000"
+       "0100620104000000000000000500000000000000060000000000000007000000"
+       "00000000"},
+      {WireType::kJobStudy,
+       Object({{"type", Json("job")},
+               {"job_id", job_id},
+               {"job", GoldenJob(5)},
+               {"lease_timeout", Json(60.0)},
+               {"study", study}}),
+       "48544e50010017007a000000781d7d5e00000000000029401100000000000000"
+       "0500000000000000030002006c7200000000000000c03f06006c617965727301"
+       "04000000000000000300616374020400000072656c75000000000000f03f0000"
+       "00000000084001000000000000000000000000000000feffffffffffffff0000"
+       "000000004e4002007331"},
+      {WireType::kJobsStudy,
+       Object({{"type", Json("jobs")},
+               {"jobs", GoldenEntries(true)},
+               {"lease_timeout", Json(60.0)}}),
+       "48544e5001001800e8000000a104323300000000000029400200000064000000"
+       "000000000000000000000000030002006c7200000000000000c03f06006c6179"
+       "6572730104000000000000000300616374020400000072656c75000000000000"
+       "f03f000000000000084001000000000000000000000000000000feffffffffff"
+       "ffff01006165000000000000000100000000000000030002006c720000000000"
+       "0000c03f06006c61796572730104000000000000000300616374020400000072"
+       "656c75000000000000f03f000000000000084001000000000000000000000000"
+       "000000feffffffffffffff020062620000000000004e4000"},
+      {WireType::kNoJobFlagged,
+       Object({{"type", Json("no_job")},
+               {"retry_after", Json(1.0)},
+               {"shed", Json(true)}}),
+       "48544e500100190011000000352e99300000000000002940000000000000f03f"
+       "01"},
+      {WireType::kNoJobFlagged,
+       Object({{"type", Json("no_job")},
+               {"retry_after", Json(5.0)},
+               {"shed", Json(true)},
+               {"degraded", Json(true)}}),
+       "48544e5001001900110000005c52dbd800000000000029400000000000001440"
+       "03"},
+  };
+}
+
+TEST(WireGolden, EveryWireTypeEncodesToFrozenBytes) {
+  for (const GoldenFrame& golden : GoldenFrames()) {
+    const std::string framed = EncodeMessage(golden.message, 12.5);
+    EXPECT_EQ(Hex(framed), golden.hex) << golden.message.Dump();
+    FrameDecoder decoder;
+    decoder.Feed(framed);
+    const auto frame = decoder.Next();
+    ASSERT_TRUE(frame.has_value());
+    EXPECT_EQ(frame->type, golden.type) << golden.message.Dump();
+    const WireMessage decoded = DecodeMessage(*frame);
+    EXPECT_EQ(decoded.now, 12.5);
+    EXPECT_EQ(decoded.message.Dump(), golden.message.Dump());
+  }
+}
+
+TEST(WireGolden, CoversEveryWireType) {
+  std::vector<WireType> covered;
+  for (const GoldenFrame& golden : GoldenFrames()) {
+    if (std::find(covered.begin(), covered.end(), golden.type) ==
+        covered.end()) {
+      covered.push_back(golden.type);
+    }
+  }
+  EXPECT_EQ(covered.size(), 23u);
+  // Every id without a golden is outside the schema and refuses to decode.
+  for (int value = 0; value < 64; ++value) {
+    const auto type = static_cast<WireType>(value);
+    if (std::find(covered.begin(), covered.end(), type) != covered.end()) {
+      continue;
+    }
+    EXPECT_THROW(DecodeMessage(WireFrame{type, std::string(8, '\0')}),
+                 CheckError)
+        << value;
+  }
 }
 
 TEST(WireWriterReader, PrimitivesRoundTripAtBoundaries) {
