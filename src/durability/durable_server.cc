@@ -105,16 +105,6 @@ void DurableServer::Count(const char* name) {
   if (durability_.telemetry != nullptr) durability_.telemetry->Count(name);
 }
 
-bool DurableServer::IsGrantRequest(const Json& message) {
-  try {
-    if (!message.Has("type")) return false;
-    const std::string& type = message.at("type").AsString();
-    return type == "request_job" || type == "request_jobs";
-  } catch (const std::exception&) {
-    return false;  // not even an object; the server will reject it
-  }
-}
-
 std::string DurableServer::SnapshotPath(std::uint64_t generation) const {
   return (std::filesystem::path(durability_.dir) /
           GenerationName("snapshot-", generation, ".json"))
@@ -183,9 +173,7 @@ Json DurableServer::HandleMessage(const Json& message, double now) {
     // their records buffer — so in-flight work is not thrown away.
     ++stats_.grants_denied;
     Count("durability.grants_denied");
-    Json reply = JsonObject{};
-    reply.Set("type", Json("no_job"));
-    reply.Set("retry_after", Json(durability_.degraded_retry_after));
+    Json reply = NoJobReply(durability_.degraded_retry_after);
     reply.Set("degraded", Json(true));
     return reply;
   }

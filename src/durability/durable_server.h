@@ -162,8 +162,6 @@ class DurableServer final : public MessageService, public LeaseEventSink {
   /// Deletes snapshots/journals of generations before `keep`.
   void PruneBefore(std::uint64_t keep);
 
-  /// True for request_job / request_jobs — what degraded mode denies.
-  static bool IsGrantRequest(const Json& message);
   void Count(const char* name);
   void EnterDegraded();
   /// Degraded-mode probe: re-append buffered records, fsync, and exit the

@@ -1,31 +1,179 @@
 #include "net/codec.h"
 
-#include <initializer_list>
+#include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "common/check.h"
 
 namespace hypertune {
 namespace {
 
-// Strict schema guard: the message must carry exactly `keys` (the canonical
-// field set its producer writes). Extra fields would be silently dropped by
-// a packed encoding — make that a loud error instead.
-void ExpectKeys(const Json& message,
-                std::initializer_list<std::string_view> keys) {
-  HT_CHECK_MSG(message.AsObject().size() == keys.size(),
-               "wire codec: message has " << message.AsObject().size()
-                                          << " fields, schema expects "
-                                          << keys.size());
-  for (const std::string_view key : keys) {
-    HT_CHECK_MSG(message.Has(key),
-                 "wire codec: message missing field '" << key << "'");
+// --- The wire schema: the one place a payload layout is written ---
+//
+// A payload is the f64 `now` followed by the fields of its layout, in table
+// order. EncodeMessage and DecodeMessage both walk this table, so they are
+// inverses by construction and the decoded field order is the table order
+// (which is the order every producer builds).
+
+/// How one field travels.
+enum class Kind : std::uint8_t {
+  kI64,          // two's-complement u64
+  kF64,          // IEEE-754 bit pattern
+  kShortString,  // u16 length + bytes
+  kString,       // u32 length + bytes
+  kConfig,       // u16 count, then (short name, kind byte, value) per param
+  kObject,       // a nested object laid out by `sub`
+  kEntries,      // u32 count, then that many objects laid out by `sub`
+  kOptI64,       // u8 presence (0 or 1), then the i64 when present
+  kOptF64,       // u8 presence (0 or 1), then the f64 when present
+  kState,        // u8: 0 "active", 1 "suspended"
+  kNoJobFlags,   // u8: bit 0 "shed", bit 1 "degraded"; at least one set.
+                 // The keys are fixed, and present only as true.
+  kAckStale,     // u8: 0 no "stale", 1 "stale":false, 3 "stale":true
+};
+
+struct Schema;
+
+struct Field {
+  std::string_view key;
+  Kind kind;
+  const Schema* sub = nullptr;  // kObject and kEntries only
+};
+
+struct Schema {
+  std::span<const Field> fields;
+  /// Study-scoped: the base fields plus a trailing short-string "study".
+  bool scoped = false;
+};
+
+struct Layout {
+  WireType type;
+  std::string_view name;  // the JSON "type"
+  Schema body;
+};
+
+// Mirrors core/trial_json.cc's ToJson(Job).
+constexpr Field kJobFields[] = {
+    {"trial", Kind::kI64}, {"config", Kind::kConfig}, {"from", Kind::kF64},
+    {"to", Kind::kF64},    {"rung", Kind::kI64},      {"bracket", Kind::kI64},
+    {"tag", Kind::kI64}};
+constexpr Schema kJob{kJobFields};
+
+constexpr Field kJobEntryFields[] = {{"job_id", Kind::kI64},
+                                     {"job", Kind::kObject, &kJob}};
+constexpr Schema kJobEntry{kJobEntryFields};
+// A "*" fair-allocation grant names each entry's study.
+constexpr Schema kScopedJobEntry{kJobEntryFields, true};
+
+constexpr Field kStudyEntryFields[] = {
+    {"study", Kind::kShortString}, {"state", Kind::kState},
+    {"max_leases", Kind::kI64},    {"active_leases", Kind::kI64},
+    {"jobs_assigned", Kind::kI64}, {"jobs_completed", Kind::kI64}};
+constexpr Schema kStudyEntry{kStudyEntryFields};
+
+constexpr Field kRequestJob[] = {{"worker", Kind::kI64}};
+constexpr Field kRequestJobs[] = {{"worker", Kind::kI64},
+                                  {"count", Kind::kI64}};
+constexpr Field kHeartbeat[] = {{"worker", Kind::kI64},
+                                {"job_id", Kind::kI64}};
+constexpr Field kReport[] = {
+    {"worker", Kind::kI64}, {"job_id", Kind::kI64}, {"loss", Kind::kF64}};
+constexpr Field kCreateStudy[] = {{"study", Kind::kShortString},
+                                  {"config", Kind::kConfig},
+                                  {"max_leases", Kind::kOptI64}};
+constexpr Field kStudyVerb[] = {{"study", Kind::kShortString}};
+constexpr Field kStudies[] = {{"studies", Kind::kEntries, &kStudyEntry}};
+constexpr Field kJobGrant[] = {{"job_id", Kind::kI64},
+                               {"job", Kind::kObject, &kJob},
+                               {"lease_timeout", Kind::kF64}};
+constexpr Field kJobsGrant[] = {{"jobs", Kind::kEntries, &kJobEntry},
+                                {"lease_timeout", Kind::kF64},
+                                {"retry_after", Kind::kOptF64}};
+constexpr Field kScopedJobsGrant[] = {
+    {"jobs", Kind::kEntries, &kScopedJobEntry},
+    {"lease_timeout", Kind::kF64},
+    {"retry_after", Kind::kOptF64}};
+constexpr Field kNoJob[] = {{"retry_after", Kind::kF64}};
+constexpr Field kNoJobFlagged[] = {
+    {"retry_after", Kind::kF64},
+    {"", Kind::kNoJobFlags}};  // its keys are "shed" and "degraded"
+constexpr Field kAck[] = {{"stale", Kind::kAckStale}};
+constexpr Field kError[] = {{"message", Kind::kString}};
+
+// Every WireType, in numbering order. A name appears more than once when
+// its messages have variants; the encoder picks the one whose key set the
+// message carries, so exactly one layout matches any encodable message.
+constexpr Layout kLayouts[] = {
+    {WireType::kRequestJob, "request_job", {kRequestJob}},
+    {WireType::kRequestJobs, "request_jobs", {kRequestJobs}},
+    {WireType::kHeartbeat, "heartbeat", {kHeartbeat}},
+    {WireType::kReport, "report", {kReport}},
+    {WireType::kCreateStudy, "create_study", {kCreateStudy}},
+    {WireType::kSuspendStudy, "suspend_study", {kStudyVerb}},
+    {WireType::kResumeStudy, "resume_study", {kStudyVerb}},
+    {WireType::kDeleteStudy, "delete_study", {kStudyVerb}},
+    {WireType::kListStudies, "list_studies", {}},
+    {WireType::kRequestJobStudy, "request_job", {kRequestJob, true}},
+    {WireType::kRequestJobsStudy, "request_jobs", {kRequestJobs, true}},
+    {WireType::kHeartbeatStudy, "heartbeat", {kHeartbeat, true}},
+    {WireType::kReportStudy, "report", {kReport, true}},
+    {WireType::kJob, "job", {kJobGrant}},
+    {WireType::kJobs, "jobs", {kJobsGrant}},
+    {WireType::kNoJob, "no_job", {kNoJob}},
+    {WireType::kAck, "ack", {kAck}},
+    {WireType::kLeaseLost, "lease_lost", {}},
+    {WireType::kError, "error", {kError}},
+    {WireType::kStudies, "studies", {kStudies}},
+    {WireType::kJobStudy, "job", {kJobGrant, true}},
+    {WireType::kJobsStudy, "jobs", {kScopedJobsGrant}},
+    {WireType::kNoJobFlagged, "no_job", {kNoJobFlagged}},
+};
+
+// --- Encode ---
+
+/// True when `object` carries exactly the keys `schema` writes, plus
+/// `extra_keys` the caller accounts for (the top-level "type"). Entries
+/// are matched by their first element: an empty array carries no entry
+/// keys, so it matches only an unscoped entry layout.
+bool Matches(const Schema& schema, const Json& object,
+             std::size_t extra_keys) {
+  std::size_t keys = extra_keys + (schema.scoped ? 1 : 0);
+  if (schema.scoped && !object.Has("study")) return false;
+  for (const Field& field : schema.fields) {
+    switch (field.kind) {
+      case Kind::kOptI64:
+      case Kind::kOptF64:
+      case Kind::kAckStale:
+        keys += object.Has(field.key) ? 1 : 0;
+        break;
+      case Kind::kNoJobFlags: {
+        const std::size_t flags =
+            (object.Has("shed") ? 1 : 0) + (object.Has("degraded") ? 1 : 0);
+        if (flags == 0) return false;
+        keys += flags;
+        break;
+      }
+      case Kind::kEntries: {
+        if (!object.Has(field.key)) return false;
+        const JsonArray& entries = object.at(field.key).AsArray();
+        const bool entries_match =
+            entries.empty() ? !field.sub->scoped
+                            : Matches(*field.sub, entries.front(), 0);
+        if (!entries_match) return false;
+        ++keys;
+        break;
+      }
+      default:
+        if (!object.Has(field.key)) return false;
+        ++keys;
+    }
   }
+  return keys == object.AsObject().size();
 }
 
-// --- Job payload (mirrors core/trial_json.cc's ToJson(Job)) ---
-
-void WriteConfig(WireWriter& writer, const Json& config) {
+void WriteConfig(const Json& config, WireWriter& writer) {
   const JsonObject& object = config.AsObject();
   HT_CHECK_MSG(object.size() <= 0xFFFF, "configuration too wide for wire");
   writer.U16(static_cast<std::uint16_t>(object.size()));
@@ -44,6 +192,118 @@ void WriteConfig(WireWriter& writer, const Json& config) {
   }
 }
 
+void WriteFields(const Schema& schema, const Json& object, WireWriter& writer);
+
+void WriteObject(const Schema& schema, const Json& object,
+                 WireWriter& writer) {
+  HT_CHECK_MSG(Matches(schema, object, 0),
+               "wire codec: object " << object.Dump()
+                                     << " does not match its wire layout");
+  WriteFields(schema, object, writer);
+}
+
+void WriteField(const Field& field, const Json& object, WireWriter& writer) {
+  switch (field.kind) {
+    case Kind::kI64:
+      writer.I64(object.at(field.key).AsInt());
+      return;
+    case Kind::kF64:
+      writer.F64(object.at(field.key).AsDouble());
+      return;
+    case Kind::kShortString:
+      writer.ShortString(object.at(field.key).AsString());
+      return;
+    case Kind::kString:
+      writer.String(object.at(field.key).AsString());
+      return;
+    case Kind::kConfig:
+      WriteConfig(object.at(field.key), writer);
+      return;
+    case Kind::kObject:
+      WriteObject(*field.sub, object.at(field.key), writer);
+      return;
+    case Kind::kEntries: {
+      const JsonArray& entries = object.at(field.key).AsArray();
+      writer.U32(static_cast<std::uint32_t>(entries.size()));
+      for (const Json& entry : entries) {
+        WriteObject(*field.sub, entry, writer);
+      }
+      return;
+    }
+    case Kind::kOptI64:
+    case Kind::kOptF64: {
+      const bool present = object.Has(field.key);
+      writer.U8(present ? 1 : 0);
+      if (!present) return;
+      if (field.kind == Kind::kOptI64) {
+        writer.I64(object.at(field.key).AsInt());
+      } else {
+        writer.F64(object.at(field.key).AsDouble());
+      }
+      return;
+    }
+    case Kind::kState: {
+      const std::string& state = object.at(field.key).AsString();
+      HT_CHECK_MSG(state == "active" || state == "suspended",
+                   "wire codec: unknown study state '" << state << "'");
+      writer.U8(state == "suspended" ? 1 : 0);
+      return;
+    }
+    case Kind::kNoJobFlags: {
+      // Presence-only booleans: producers set them to true or not at all,
+      // and a false value would not survive the round trip.
+      const bool shed = object.Has("shed");
+      const bool degraded = object.Has("degraded");
+      HT_CHECK_MSG(!shed || object.at("shed").AsBool(),
+                   "wire codec: no_job 'shed' must be true when present");
+      HT_CHECK_MSG(!degraded || object.at("degraded").AsBool(),
+                   "wire codec: no_job 'degraded' must be true when present");
+      writer.U8(static_cast<std::uint8_t>((shed ? 1 : 0) | (degraded ? 2 : 0)));
+      return;
+    }
+    case Kind::kAckStale:
+      if (!object.Has(field.key)) {
+        writer.U8(0);
+      } else {
+        writer.U8(object.at(field.key).AsBool() ? 3 : 1);
+      }
+      return;
+  }
+}
+
+void WriteFields(const Schema& schema, const Json& object, WireWriter& writer) {
+  for (const Field& field : schema.fields) WriteField(field, object, writer);
+  if (schema.scoped) writer.ShortString(object.at("study").AsString());
+}
+
+/// The layout `message` selects by its type name and key set. Throws
+/// CheckError for messages outside the schema.
+const Layout& LayoutOf(const Json& message) {
+  const std::string& name = message.at("type").AsString();
+  bool known = false;
+  for (const Layout& layout : kLayouts) {
+    if (layout.name != name) continue;
+    known = true;
+    if (Matches(layout.body, message, 1)) return layout;
+  }
+  if (!known) {
+    throw CheckError("wire codec: message type '" + name +
+                     "' is outside the wire schema");
+  }
+  throw CheckError("wire codec: " + message.Dump() +
+                   " matches no wire layout of its type");
+}
+
+// --- Decode ---
+
+/// A presence byte: the encoder only ever writes 0 or 1.
+bool ReadPresence(WireReader& reader) {
+  const std::uint8_t presence = reader.U8();
+  HT_CHECK_MSG(presence <= 1,
+               "wire codec: bad presence byte " << static_cast<int>(presence));
+  return presence == 1;
+}
+
 Json ReadConfig(WireReader& reader) {
   const std::uint16_t count = reader.U16();
   Json config = JsonObject{};
@@ -51,390 +311,100 @@ Json ReadConfig(WireReader& reader) {
     std::string name = reader.ShortString();
     const std::uint8_t kind = reader.U8();
     switch (kind) {
-      case 0: config.Set(std::move(name), Json(reader.F64())); break;
-      case 1: config.Set(std::move(name), Json(reader.I64())); break;
-      case 2: config.Set(std::move(name), Json(reader.String())); break;
+      case 0: config.Set(name, Json(reader.F64())); break;
+      case 1: config.Set(name, Json(reader.I64())); break;
+      case 2: config.Set(name, Json(reader.String())); break;
       default:
         throw CheckError("wire codec: unknown parameter kind " +
                          std::to_string(kind));
     }
+    // Set replaces an existing key, so a repeat shows as a short object.
+    HT_CHECK_MSG(config.AsObject().size() == i + 1u,
+                 "wire codec: duplicate parameter '" << name << "'");
   }
   return config;
 }
 
-void WriteJob(WireWriter& writer, const Json& job) {
-  ExpectKeys(job, {"trial", "config", "from", "to", "rung", "bracket", "tag"});
-  writer.I64(job.at("trial").AsInt());
-  WriteConfig(writer, job.at("config"));
-  writer.F64(job.at("from").AsDouble());
-  writer.F64(job.at("to").AsDouble());
-  writer.I64(job.at("rung").AsInt());
-  writer.I64(job.at("bracket").AsInt());
-  writer.I64(job.at("tag").AsInt());
+void ReadFields(const Schema& schema, WireReader& reader, Json& object);
+
+Json ReadObject(const Schema& schema, WireReader& reader) {
+  Json object = JsonObject{};
+  ReadFields(schema, reader, object);
+  return object;
 }
 
-Json ReadJob(WireReader& reader) {
-  Json job = JsonObject{};
-  job.Set("trial", Json(reader.I64()));
-  job.Set("config", ReadConfig(reader));
-  job.Set("from", Json(reader.F64()));
-  job.Set("to", Json(reader.F64()));
-  job.Set("rung", Json(reader.I64()));
-  job.Set("bracket", Json(reader.I64()));
-  job.Set("tag", Json(reader.I64()));
-  return job;
-}
-
-// --- Per-type payload structs ---
-
-WireType EncodeBody(const Json& message, WireWriter& writer) {
-  const std::string& type = message.at("type").AsString();
-  // Lease messages carrying a study id use the appended study-scoped types;
-  // without one they encode to the original frozen payloads byte for byte.
-  const bool scoped = message.Has("study");
-  if (type == "request_job") {
-    if (scoped) {
-      ExpectKeys(message, {"type", "worker", "study"});
-    } else {
-      ExpectKeys(message, {"type", "worker"});
-    }
-    writer.I64(message.at("worker").AsInt());
-    if (!scoped) return WireType::kRequestJob;
-    writer.ShortString(message.at("study").AsString());
-    return WireType::kRequestJobStudy;
-  }
-  if (type == "request_jobs") {
-    if (scoped) {
-      ExpectKeys(message, {"type", "worker", "count", "study"});
-    } else {
-      ExpectKeys(message, {"type", "worker", "count"});
-    }
-    writer.I64(message.at("worker").AsInt());
-    writer.I64(message.at("count").AsInt());
-    if (!scoped) return WireType::kRequestJobs;
-    writer.ShortString(message.at("study").AsString());
-    return WireType::kRequestJobsStudy;
-  }
-  if (type == "heartbeat") {
-    if (scoped) {
-      ExpectKeys(message, {"type", "worker", "job_id", "study"});
-    } else {
-      ExpectKeys(message, {"type", "worker", "job_id"});
-    }
-    writer.I64(message.at("worker").AsInt());
-    writer.I64(message.at("job_id").AsInt());
-    if (!scoped) return WireType::kHeartbeat;
-    writer.ShortString(message.at("study").AsString());
-    return WireType::kHeartbeatStudy;
-  }
-  if (type == "report") {
-    if (scoped) {
-      ExpectKeys(message, {"type", "worker", "job_id", "loss", "study"});
-    } else {
-      ExpectKeys(message, {"type", "worker", "job_id", "loss"});
-    }
-    writer.I64(message.at("worker").AsInt());
-    writer.I64(message.at("job_id").AsInt());
-    writer.F64(message.at("loss").AsDouble());
-    if (!scoped) return WireType::kReport;
-    writer.ShortString(message.at("study").AsString());
-    return WireType::kReportStudy;
-  }
-  if (type == "create_study") {
-    const bool has_quota = message.Has("max_leases");
-    if (has_quota) {
-      ExpectKeys(message, {"type", "study", "config", "max_leases"});
-    } else {
-      ExpectKeys(message, {"type", "study", "config"});
-    }
-    writer.ShortString(message.at("study").AsString());
-    WriteConfig(writer, message.at("config"));
-    writer.U8(has_quota ? 1 : 0);
-    if (has_quota) writer.I64(message.at("max_leases").AsInt());
-    return WireType::kCreateStudy;
-  }
-  if (type == "suspend_study" || type == "resume_study" ||
-      type == "delete_study") {
-    ExpectKeys(message, {"type", "study"});
-    writer.ShortString(message.at("study").AsString());
-    if (type == "suspend_study") return WireType::kSuspendStudy;
-    if (type == "resume_study") return WireType::kResumeStudy;
-    return WireType::kDeleteStudy;
-  }
-  if (type == "list_studies") {
-    ExpectKeys(message, {"type"});
-    return WireType::kListStudies;
-  }
-  if (type == "studies") {
-    ExpectKeys(message, {"type", "studies"});
-    const JsonArray& studies = message.at("studies").AsArray();
-    writer.U32(static_cast<std::uint32_t>(studies.size()));
-    for (const Json& entry : studies) {
-      ExpectKeys(entry, {"study", "state", "max_leases", "active_leases",
-                         "jobs_assigned", "jobs_completed"});
-      writer.ShortString(entry.at("study").AsString());
-      writer.U8(entry.at("state").AsString() == "suspended" ? 1 : 0);
-      writer.I64(entry.at("max_leases").AsInt());
-      writer.I64(entry.at("active_leases").AsInt());
-      writer.I64(entry.at("jobs_assigned").AsInt());
-      writer.I64(entry.at("jobs_completed").AsInt());
-    }
-    return WireType::kStudies;
-  }
-  if (type == "job") {
-    if (scoped) {
-      ExpectKeys(message, {"type", "job_id", "job", "lease_timeout", "study"});
-    } else {
-      ExpectKeys(message, {"type", "job_id", "job", "lease_timeout"});
-    }
-    writer.I64(message.at("job_id").AsInt());
-    WriteJob(writer, message.at("job"));
-    writer.F64(message.at("lease_timeout").AsDouble());
-    if (!scoped) return WireType::kJob;
-    writer.ShortString(message.at("study").AsString());
-    return WireType::kJobStudy;
-  }
-  if (type == "jobs") {
-    const bool has_retry = message.Has("retry_after");
-    if (has_retry) {
-      ExpectKeys(message, {"type", "jobs", "lease_timeout", "retry_after"});
-    } else {
-      ExpectKeys(message, {"type", "jobs", "lease_timeout"});
-    }
-    const JsonArray& jobs = message.at("jobs").AsArray();
-    // A "*" fair-allocation grant names each entry's study (kJobsStudy);
-    // a study-less batch is the original frozen kJobs payload.
-    const bool entries_scoped = !jobs.empty() && jobs.front().Has("study");
-    writer.U32(static_cast<std::uint32_t>(jobs.size()));
-    for (const Json& entry : jobs) {
-      if (entries_scoped) {
-        ExpectKeys(entry, {"job_id", "job", "study"});
-      } else {
-        ExpectKeys(entry, {"job_id", "job"});
-      }
-      writer.I64(entry.at("job_id").AsInt());
-      WriteJob(writer, entry.at("job"));
-      if (entries_scoped) writer.ShortString(entry.at("study").AsString());
-    }
-    writer.F64(message.at("lease_timeout").AsDouble());
-    writer.U8(has_retry ? 1 : 0);
-    if (has_retry) writer.F64(message.at("retry_after").AsDouble());
-    return entries_scoped ? WireType::kJobsStudy : WireType::kJobs;
-  }
-  if (type == "no_job") {
-    const bool shed = message.Has("shed");
-    const bool degraded = message.Has("degraded");
-    if (!shed && !degraded) {
-      ExpectKeys(message, {"type", "retry_after"});
-      writer.F64(message.at("retry_after").AsDouble());
-      return WireType::kNoJob;
-    }
-    // Overload / degraded denials (net_server shedding, DurableServer's
-    // read-only mode). The flags are presence-only booleans: producers set
-    // them to true or not at all, and the strict round-trip depends on it.
-    if (shed && degraded) {
-      ExpectKeys(message, {"type", "retry_after", "shed", "degraded"});
-    } else if (shed) {
-      ExpectKeys(message, {"type", "retry_after", "shed"});
-    } else {
-      ExpectKeys(message, {"type", "retry_after", "degraded"});
-    }
-    HT_CHECK_MSG(!shed || message.at("shed").AsBool(),
-                 "wire codec: no_job 'shed' must be true when present");
-    HT_CHECK_MSG(!degraded || message.at("degraded").AsBool(),
-                 "wire codec: no_job 'degraded' must be true when present");
-    writer.F64(message.at("retry_after").AsDouble());
-    writer.U8(static_cast<std::uint8_t>((shed ? 1 : 0) | (degraded ? 2 : 0)));
-    return WireType::kNoJobFlagged;
-  }
-  if (type == "ack") {
-    const bool has_stale = message.Has("stale");
-    if (has_stale) {
-      ExpectKeys(message, {"type", "stale"});
-      writer.U8(message.at("stale").AsBool() ? 3 : 1);
-    } else {
-      ExpectKeys(message, {"type"});
-      writer.U8(0);
-    }
-    return WireType::kAck;
-  }
-  if (type == "lease_lost") {
-    ExpectKeys(message, {"type"});
-    return WireType::kLeaseLost;
-  }
-  if (type == "error") {
-    ExpectKeys(message, {"type", "message"});
-    writer.String(message.at("message").AsString());
-    return WireType::kError;
-  }
-  throw CheckError("wire codec: message type '" + type +
-                   "' is outside the wire schema");
-}
-
-Json DecodeBody(WireType type, WireReader& reader) {
-  Json message = JsonObject{};
-  switch (type) {
-    case WireType::kRequestJob:
-      message.Set("type", Json("request_job"));
-      message.Set("worker", Json(reader.I64()));
-      return message;
-    case WireType::kRequestJobs:
-      message.Set("type", Json("request_jobs"));
-      message.Set("worker", Json(reader.I64()));
-      message.Set("count", Json(reader.I64()));
-      return message;
-    case WireType::kHeartbeat:
-      message.Set("type", Json("heartbeat"));
-      message.Set("worker", Json(reader.I64()));
-      message.Set("job_id", Json(reader.I64()));
-      return message;
-    case WireType::kReport:
-      message.Set("type", Json("report"));
-      message.Set("worker", Json(reader.I64()));
-      message.Set("job_id", Json(reader.I64()));
-      message.Set("loss", Json(reader.F64()));
-      return message;
-    case WireType::kRequestJobStudy:
-      message.Set("type", Json("request_job"));
-      message.Set("worker", Json(reader.I64()));
-      message.Set("study", Json(reader.ShortString()));
-      return message;
-    case WireType::kRequestJobsStudy:
-      message.Set("type", Json("request_jobs"));
-      message.Set("worker", Json(reader.I64()));
-      message.Set("count", Json(reader.I64()));
-      message.Set("study", Json(reader.ShortString()));
-      return message;
-    case WireType::kHeartbeatStudy:
-      message.Set("type", Json("heartbeat"));
-      message.Set("worker", Json(reader.I64()));
-      message.Set("job_id", Json(reader.I64()));
-      message.Set("study", Json(reader.ShortString()));
-      return message;
-    case WireType::kReportStudy:
-      message.Set("type", Json("report"));
-      message.Set("worker", Json(reader.I64()));
-      message.Set("job_id", Json(reader.I64()));
-      message.Set("loss", Json(reader.F64()));
-      message.Set("study", Json(reader.ShortString()));
-      return message;
-    case WireType::kCreateStudy: {
-      message.Set("type", Json("create_study"));
-      message.Set("study", Json(reader.ShortString()));
-      message.Set("config", ReadConfig(reader));
-      const std::uint8_t has_quota = reader.U8();
-      if (has_quota != 0) message.Set("max_leases", Json(reader.I64()));
-      return message;
-    }
-    case WireType::kSuspendStudy:
-      message.Set("type", Json("suspend_study"));
-      message.Set("study", Json(reader.ShortString()));
-      return message;
-    case WireType::kResumeStudy:
-      message.Set("type", Json("resume_study"));
-      message.Set("study", Json(reader.ShortString()));
-      return message;
-    case WireType::kDeleteStudy:
-      message.Set("type", Json("delete_study"));
-      message.Set("study", Json(reader.ShortString()));
-      return message;
-    case WireType::kListStudies:
-      message.Set("type", Json("list_studies"));
-      return message;
-    case WireType::kStudies: {
-      message.Set("type", Json("studies"));
+void ReadField(const Field& field, WireReader& reader, Json& object) {
+  std::string key(field.key);
+  switch (field.kind) {
+    case Kind::kI64:
+      object.Set(std::move(key), Json(reader.I64()));
+      return;
+    case Kind::kF64:
+      object.Set(std::move(key), Json(reader.F64()));
+      return;
+    case Kind::kShortString:
+      object.Set(std::move(key), Json(reader.ShortString()));
+      return;
+    case Kind::kString:
+      object.Set(std::move(key), Json(reader.String()));
+      return;
+    case Kind::kConfig:
+      object.Set(std::move(key), ReadConfig(reader));
+      return;
+    case Kind::kObject:
+      object.Set(std::move(key), ReadObject(*field.sub, reader));
+      return;
+    case Kind::kEntries: {
       const std::uint32_t count = reader.U32();
-      Json studies = JsonArray{};
+      // The encoder writes an empty batch with the unscoped layout.
+      HT_CHECK_MSG(count > 0 || !field.sub->scoped,
+                   "wire codec: empty study-scoped '" << key << "'");
+      Json entries = JsonArray{};
       for (std::uint32_t i = 0; i < count; ++i) {
-        Json entry = JsonObject{};
-        entry.Set("study", Json(reader.ShortString()));
-        entry.Set("state", Json(reader.U8() != 0 ? "suspended" : "active"));
-        entry.Set("max_leases", Json(reader.I64()));
-        entry.Set("active_leases", Json(reader.I64()));
-        entry.Set("jobs_assigned", Json(reader.I64()));
-        entry.Set("jobs_completed", Json(reader.I64()));
-        studies.PushBack(std::move(entry));
+        entries.PushBack(ReadObject(*field.sub, reader));
       }
-      message.Set("studies", std::move(studies));
-      return message;
+      object.Set(std::move(key), std::move(entries));
+      return;
     }
-    case WireType::kJobStudy:
-      message.Set("type", Json("job"));
-      message.Set("job_id", Json(reader.I64()));
-      message.Set("job", ReadJob(reader));
-      message.Set("lease_timeout", Json(reader.F64()));
-      message.Set("study", Json(reader.ShortString()));
-      return message;
-    case WireType::kJobsStudy: {
-      message.Set("type", Json("jobs"));
-      const std::uint32_t count = reader.U32();
-      Json jobs = JsonArray{};
-      for (std::uint32_t i = 0; i < count; ++i) {
-        Json entry = JsonObject{};
-        entry.Set("job_id", Json(reader.I64()));
-        entry.Set("job", ReadJob(reader));
-        entry.Set("study", Json(reader.ShortString()));
-        jobs.PushBack(std::move(entry));
-      }
-      message.Set("jobs", std::move(jobs));
-      message.Set("lease_timeout", Json(reader.F64()));
-      const std::uint8_t has_retry = reader.U8();
-      if (has_retry != 0) message.Set("retry_after", Json(reader.F64()));
-      return message;
+    case Kind::kOptI64:
+      if (ReadPresence(reader)) object.Set(std::move(key), Json(reader.I64()));
+      return;
+    case Kind::kOptF64:
+      if (ReadPresence(reader)) object.Set(std::move(key), Json(reader.F64()));
+      return;
+    case Kind::kState: {
+      const std::uint8_t state = reader.U8();
+      HT_CHECK_MSG(state <= 1, "wire codec: bad study state byte "
+                                   << static_cast<int>(state));
+      object.Set(std::move(key), Json(state == 1 ? "suspended" : "active"));
+      return;
     }
-    case WireType::kJob:
-      message.Set("type", Json("job"));
-      message.Set("job_id", Json(reader.I64()));
-      message.Set("job", ReadJob(reader));
-      message.Set("lease_timeout", Json(reader.F64()));
-      return message;
-    case WireType::kJobs: {
-      message.Set("type", Json("jobs"));
-      const std::uint32_t count = reader.U32();
-      Json jobs = JsonArray{};
-      for (std::uint32_t i = 0; i < count; ++i) {
-        Json entry = JsonObject{};
-        entry.Set("job_id", Json(reader.I64()));
-        entry.Set("job", ReadJob(reader));
-        jobs.PushBack(std::move(entry));
-      }
-      message.Set("jobs", std::move(jobs));
-      message.Set("lease_timeout", Json(reader.F64()));
-      const std::uint8_t has_retry = reader.U8();
-      if (has_retry != 0) message.Set("retry_after", Json(reader.F64()));
-      return message;
-    }
-    case WireType::kNoJob:
-      message.Set("type", Json("no_job"));
-      message.Set("retry_after", Json(reader.F64()));
-      return message;
-    case WireType::kNoJobFlagged: {
-      message.Set("type", Json("no_job"));
-      message.Set("retry_after", Json(reader.F64()));
+    case Kind::kNoJobFlags: {
       const std::uint8_t flags = reader.U8();
-      if ((flags & ~3u) != 0 || flags == 0) {
-        throw CheckError("wire codec: bad no_job flags " +
-                         std::to_string(flags));
-      }
-      // Field order matches the producers (retry_after, then the flag), so
-      // the decoded Json is bit-identical to what the server built.
-      if (flags & 1) message.Set("shed", Json(true));
-      if (flags & 2) message.Set("degraded", Json(true));
-      return message;
+      HT_CHECK_MSG(flags >= 1 && flags <= 3, "wire codec: bad no_job flags "
+                                                 << static_cast<int>(flags));
+      if (flags & 1) object.Set("shed", Json(true));
+      if (flags & 2) object.Set("degraded", Json(true));
+      return;
     }
-    case WireType::kAck: {
-      message.Set("type", Json("ack"));
+    case Kind::kAckStale: {
       const std::uint8_t flags = reader.U8();
-      if (flags & 1) message.Set("stale", Json((flags & 2) != 0));
-      return message;
+      HT_CHECK_MSG(flags == 0 || flags == 1 || flags == 3,
+                   "wire codec: bad ack flags " << static_cast<int>(flags));
+      if (flags != 0) object.Set(std::move(key), Json(flags == 3));
+      return;
     }
-    case WireType::kLeaseLost:
-      message.Set("type", Json("lease_lost"));
-      return message;
-    case WireType::kError:
-      message.Set("type", Json("error"));
-      message.Set("message", Json(reader.String()));
-      return message;
+  }
+}
+
+void ReadFields(const Schema& schema, WireReader& reader, Json& object) {
+  for (const Field& field : schema.fields) ReadField(field, reader, object);
+  if (schema.scoped) object.Set("study", Json(reader.ShortString()));
+}
+
+const Layout& LayoutOf(WireType type) {
+  for (const Layout& layout : kLayouts) {
+    if (layout.type == type) return layout;
   }
   throw CheckError("wire codec: unknown frame type " +
                    std::to_string(static_cast<int>(type)));
@@ -445,15 +415,18 @@ Json DecodeBody(WireType type, WireReader& reader) {
 std::string EncodeMessage(const Json& message, double now) {
   WireWriter writer;
   writer.F64(now);
-  const WireType type = EncodeBody(message, writer);
-  return EncodeFrame(type, writer.bytes());
+  const Layout& layout = LayoutOf(message);
+  WriteFields(layout.body, message, writer);
+  return EncodeFrame(layout.type, writer.bytes());
 }
 
 WireMessage DecodeMessage(const WireFrame& frame) {
   WireReader reader(frame.payload);
   WireMessage decoded;
   decoded.now = reader.F64();
-  decoded.message = DecodeBody(frame.type, reader);
+  const Layout& layout = LayoutOf(frame.type);
+  decoded.message.Set("type", Json(std::string(layout.name)));
+  ReadFields(layout.body, reader, decoded.message);
   reader.ExpectEnd();
   return decoded;
 }

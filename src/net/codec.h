@@ -5,8 +5,17 @@
 // debug/compat transport; the binary schema is a packed little-endian
 // rendering of exactly the same vocabulary:
 //
-//   requests   request_job, request_jobs, heartbeat, report
-//   replies    job, jobs, no_job, ack (± stale), lease_lost, error
+//   requests   request_job, request_jobs, heartbeat, report (± study)
+//   admin      create_study, suspend_study, resume_study, delete_study,
+//              list_studies
+//   replies    job, jobs, no_job (± shed/degraded), ack (± stale),
+//              lease_lost, error, studies
+//
+// One schema table in codec.cc is the only place a payload layout is
+// written: per WireType, the JSON type name and the ordered (key, field
+// kind) list. The encoder picks the layout whose key set the message
+// carries and writes its fields in table order; the decoder walks the same
+// layout. A study-scoped type is its base layout plus a trailing study id.
 //
 // EncodeMessage(json, now) -> framed bytes, DecodeMessage(frame) -> (json,
 // now) are exact inverses over that vocabulary: the decoded Json — field
@@ -20,9 +29,13 @@
 // harness ships virtual time (decision goldens), a real deployment can let
 // the server stamp its own wall clock instead (NetServerOptions::clock).
 //
-// The encoder is strict: a message outside the schema (unknown type,
-// missing or extra fields) throws CheckError rather than silently dropping
-// data — schema evolution means bumping kWireVersion, not smuggling fields.
+// The codec is strict both ways. A message outside the schema (unknown
+// type, missing or extra fields) throws CheckError rather than silently
+// dropping data — schema evolution means bumping kWireVersion, not
+// smuggling fields. The decoder accepts exactly the bytes the encoder
+// produces: presence and state bytes other than 0/1, unknown flag bits, an
+// empty study-scoped batch, or a repeated config parameter throw
+// CheckError, so every accepted payload re-encodes byte for byte.
 #pragma once
 
 #include <string>

@@ -235,18 +235,6 @@ struct NetServer::Loop {
                : EncodeMessage(reply, now);
   }
 
-  /// True for messages that ask for new work — what overload shedding
-  /// answers without touching the service.
-  static bool IsGrantRequest(const Json& message) {
-    try {
-      if (!message.Has("type")) return false;
-      const std::string& type = message.at("type").AsString();
-      return type == "request_job" || type == "request_jobs";
-    } catch (const std::exception&) {
-      return false;
-    }
-  }
-
   void HandleDecoded(Connection& conn, const Json& message,
                      double envelope_now) {
     const double now = ProtocolNow(envelope_now);
@@ -258,9 +246,7 @@ struct NetServer::Loop {
       if (Telemetry* telemetry = server.options_.telemetry) {
         telemetry->Count("net.requests_shed");
       }
-      Json shed = JsonObject{};
-      shed.Set("type", Json("no_job"));
-      shed.Set("retry_after", Json(server.options_.shed_retry_after));
+      Json shed = NoJobReply(server.options_.shed_retry_after);
       shed.Set("shed", Json(true));
       Enqueue(conn, EncodeReply(conn, shed, now));
       return;
@@ -271,10 +257,7 @@ struct NetServer::Loop {
     try {
       reply = server.service_.HandleMessage(message, now);
     } catch (const std::exception& error) {
-      Json failure = JsonObject{};
-      failure.Set("type", Json("error"));
-      failure.Set("message", Json(std::string(error.what())));
-      reply = std::move(failure);
+      reply = ErrorReply(error.what());
     }
     ++server.messages_handled_;
     Enqueue(conn, EncodeReply(conn, reply, now));
@@ -285,10 +268,7 @@ struct NetServer::Loop {
     if (Telemetry* telemetry = server.options_.telemetry) {
       telemetry->Count("net.messages_rejected");
     }
-    Json reply = JsonObject{};
-    reply.Set("type", Json("error"));
-    reply.Set("message", Json(text));
-    Enqueue(conn, EncodeReply(conn, reply, now));
+    Enqueue(conn, EncodeReply(conn, ErrorReply(text), now));
   }
 
   void ProcessBinary(Connection& conn) {

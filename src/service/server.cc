@@ -26,26 +26,31 @@ TuningServer::TuningServer(Scheduler& scheduler, ServerOptions options)
   HT_CHECK(options_.max_batch > 0);
 }
 
-Json TuningServer::Error(const std::string& text) {
+Json ErrorReply(const std::string& text) {
   Json reply = JsonObject{};
   reply.Set("type", Json("error"));
   reply.Set("message", Json(text));
   return reply;
 }
 
-Json TuningServer::Ack() {
+Json AckReply() {
   Json reply = JsonObject{};
   reply.Set("type", Json("ack"));
   return reply;
 }
 
-Json TuningServer::NoJobReply() const {
+Json NoJobReply(double retry_after) {
   Json reply = JsonObject{};
   reply.Set("type", Json("no_job"));
-  // Synchronous tuners stall at rung barriers; tell the worker when to
-  // retry rather than leaving it to guess.
-  reply.Set("retry_after", Json(options_.lease_timeout / 4));
+  reply.Set("retry_after", Json(retry_after));
   return reply;
+}
+
+bool IsGrantRequest(const Json& message) {
+  if (!message.Has("type")) return false;
+  const Json& type = message.at("type");
+  return type.IsString() && (type.AsString() == "request_job" ||
+                             type.AsString() == "request_jobs");
 }
 
 ServerStats TuningServer::stats() const {
@@ -164,7 +169,9 @@ std::optional<std::pair<std::uint64_t, Job>> TuningServer::GrantLease(
 Json TuningServer::HandleRequestJob(const Json& message, double now) {
   const auto worker = static_cast<std::uint64_t>(message.at("worker").AsInt());
   auto granted = GrantLease(worker, now);
-  if (!granted) return NoJobReply();
+  // Synchronous tuners stall at rung barriers; tell the worker when to
+  // retry rather than leaving it to guess.
+  if (!granted) return NoJobReply(options_.lease_timeout / 4);
 
   Json reply = JsonObject{};
   reply.Set("type", Json("job"));
@@ -193,7 +200,7 @@ Json TuningServer::HandleRequestJobs(const Json& message, double now) {
     jobs.PushBack(std::move(entry));
     ++granted_count;
   }
-  if (granted_count == 0) return NoJobReply();
+  if (granted_count == 0) return NoJobReply(options_.lease_timeout / 4);
 
   Json reply = JsonObject{};
   reply.Set("type", Json("jobs"));
@@ -223,7 +230,7 @@ Json TuningServer::HandleReport(const Json& message, double now) {
                                   std::move(args));
       options_.telemetry->Count("server.stale_reports_ignored");
     }
-    Json reply = Ack();
+    Json reply = AckReply();
     reply.Set("stale", Json(true));
     return reply;
   }
@@ -251,7 +258,7 @@ Json TuningServer::HandleReport(const Json& message, double now) {
   if (options_.journal != nullptr) {
     options_.journal->OnReport(job_id, loss, now);
   }
-  return Ack();
+  return AckReply();
 }
 
 Json TuningServer::HandleHeartbeat(const Json& message, double now) {
@@ -276,7 +283,7 @@ Json TuningServer::HandleHeartbeat(const Json& message, double now) {
     options_.telemetry->Count("server.leases_renewed");
   }
   if (options_.journal != nullptr) options_.journal->OnRenew(job_id, now);
-  return Ack();
+  return AckReply();
 }
 
 Json TuningServer::HandleMessage(const Json& message, double now) {
@@ -293,7 +300,7 @@ Json TuningServer::HandleMessage(const Json& message, double now) {
                                   std::move(args));
       options_.telemetry->Count("server.malformed_messages");
     }
-    return Error(text);
+    return ErrorReply(text);
   };
   try {
     const std::string& type = message.at("type").AsString();

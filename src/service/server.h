@@ -95,6 +95,21 @@ class MessageService {
   virtual void Tick(double now) = 0;
 };
 
+// The reply vocabulary every MessageService layer and transport shares.
+// Key order is wire contract: the codec's golden frames pin it.
+
+/// {"type":"error","message":text}
+Json ErrorReply(const std::string& text);
+/// {"type":"ack"}
+Json AckReply();
+/// {"type":"no_job","retry_after":retry_after}; overload and degraded
+/// denials append their "shed" / "degraded" flag.
+Json NoJobReply(double retry_after);
+/// True for request_job / request_jobs — the requests for new work that
+/// overload shedding and degraded mode deny. False for anything else,
+/// including a message that is not an object.
+bool IsGrantRequest(const Json& message);
+
 struct ServerOptions {
   /// A job lease lasts this long past the last heartbeat/assignment.
   double lease_timeout = 60;
@@ -242,9 +257,6 @@ class TuningServer : public MessageService {
   /// request paths. The protocol job id IS the lifecycle lease id.
   std::optional<std::pair<std::uint64_t, Job>> GrantLease(std::uint64_t worker,
                                                           double now);
-  Json NoJobReply() const;
-  static Json Error(const std::string& text);
-  static Json Ack();
 
   Scheduler& scheduler_;
   ServerOptions options_;

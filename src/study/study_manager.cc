@@ -46,26 +46,6 @@ void WriteStudyFile(const std::string& path, const std::string& content) {
 
 }  // namespace
 
-Json StudyManager::Error(const std::string& text) {
-  Json reply = JsonObject{};
-  reply.Set("type", Json("error"));
-  reply.Set("message", Json(text));
-  return reply;
-}
-
-Json StudyManager::Ack() {
-  Json reply = JsonObject{};
-  reply.Set("type", Json("ack"));
-  return reply;
-}
-
-Json StudyManager::NoJobReply() const {
-  Json reply = JsonObject{};
-  reply.Set("type", Json("no_job"));
-  reply.Set("retry_after", Json(options_.server.lease_timeout / 4));
-  return reply;
-}
-
 StudyManager::StudyManager(StudySchedulerFactory factory,
                            StudyManagerOptions options)
     : factory_(std::move(factory)), options_(std::move(options)) {
@@ -358,10 +338,12 @@ Json StudyManager::HandleScoped(const std::string& type, const Json& message,
   Study* study = Find(study_name);
   if (study == nullptr) {
     ++stats_.unknown_study_errors;
-    return Error("unknown study '" + study_name + "'");
+    return ErrorReply("unknown study '" + study_name + "'");
   }
-  const bool is_request = type == "request_job" || type == "request_jobs";
-  if (is_request && study->suspended) return NoJobReply();
+  const bool is_request = IsGrantRequest(message);
+  if (is_request && study->suspended) {
+    return NoJobReply(options_.server.lease_timeout / 4);
+  }
   if (is_request && study->max_leases > 0) {
     // Expire what is due before counting against the quota, so a worker is
     // never starved by leases that are already dead.
@@ -369,7 +351,7 @@ Json StudyManager::HandleScoped(const std::string& type, const Json& message,
     const std::size_t active = study->server->stats().active_leases;
     if (active >= study->max_leases) {
       ++stats_.quota_denials;
-      return NoJobReply();
+      return NoJobReply(options_.server.lease_timeout / 4);
     }
     const std::size_t remaining = study->max_leases - active;
     if (type == "request_jobs") {
@@ -391,8 +373,8 @@ Json StudyManager::HandleScoped(const std::string& type, const Json& message,
 
 Json StudyManager::HandleAnyStudy(const std::string& type,
                                   const Json& message, double now) {
-  if (type != "request_job" && type != "request_jobs") {
-    return Error("study '*' is only valid on job requests");
+  if (!IsGrantRequest(message)) {
+    return ErrorReply("study '*' is only valid on job requests");
   }
   const auto worker =
       static_cast<std::uint64_t>(message.at("worker").AsInt());
@@ -443,7 +425,7 @@ Json StudyManager::HandleAnyStudy(const std::string& type,
     }
   }
 
-  if (granted == 0) return NoJobReply();
+  if (granted == 0) return NoJobReply(options_.server.lease_timeout / 4);
   if (type == "request_job") {
     const Json& entry = entries.AsArray().front();
     Json reply = JsonObject{};
@@ -491,7 +473,7 @@ Json StudyManager::HandleAdmin(const std::string& type, const Json& message,
   const std::string& name = message.at("study").AsString();
   if (type == "create_study") {
     if (!ValidStudyName(name)) {
-      return Error("invalid study name '" + name + "'");
+      return ErrorReply("invalid study name '" + name + "'");
     }
     std::optional<std::size_t> max_leases;
     if (message.Has("max_leases")) {
@@ -502,33 +484,33 @@ Json StudyManager::HandleAdmin(const std::string& type, const Json& message,
     const Json config =
         message.Has("config") ? message.at("config") : Json(JsonObject{});
     if (Find(name) != nullptr) {
-      return Error("study '" + name + "' already exists");
+      return ErrorReply("study '" + name + "' already exists");
     }
     if (!CreateStudy(name, config, now, max_leases)) {
       // The name was valid and free, so the factory said no.
-      return Error("config rejected for study '" + name + "'");
+      return ErrorReply("config rejected for study '" + name + "'");
     }
-    return Ack();
+    return AckReply();
   }
   if (type == "suspend_study") {
     if (!SuspendStudy(name, now)) {
-      return Error("unknown study '" + name + "'");
+      return ErrorReply("unknown study '" + name + "'");
     }
-    return Ack();
+    return AckReply();
   }
   if (type == "resume_study") {
     if (!ResumeStudy(name, now)) {
-      return Error("unknown study '" + name + "'");
+      return ErrorReply("unknown study '" + name + "'");
     }
-    return Ack();
+    return AckReply();
   }
   if (type == "delete_study") {
     if (!DeleteStudy(name, now)) {
-      return Error("unknown study '" + name + "'");
+      return ErrorReply("unknown study '" + name + "'");
     }
-    return Ack();
+    return AckReply();
   }
-  return Error("unknown message type '" + type + "'");
+  return ErrorReply("unknown message type '" + type + "'");
 }
 
 Json StudyManager::HandleMessage(const Json& message, double now) {
@@ -547,7 +529,7 @@ Json StudyManager::HandleMessage(const Json& message, double now) {
   } catch (const std::exception& error) {
     // Same resilience contract as TuningServer: a hostile payload earns an
     // error reply, never a dead service.
-    return Error(error.what());
+    return ErrorReply(error.what());
   }
 }
 

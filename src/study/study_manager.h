@@ -227,9 +227,6 @@ class StudyManager final : public MessageService {
                     const std::string& study, double now);
   Json HandleAnyStudy(const std::string& type, const Json& message,
                       double now);
-  Json NoJobReply() const;
-  static Json Error(const std::string& text);
-  static Json Ack();
 
   StudySchedulerFactory factory_;
   StudyManagerOptions options_;

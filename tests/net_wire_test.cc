@@ -494,6 +494,16 @@ Json GoldenEntries(bool scoped) {
   return jobs;
 }
 
+/// A list_studies entry whose four counters are first, first + 1, ...
+Json GoldenStudy(const char* name, const char* state, std::int64_t first) {
+  return Object({{"study", Json(name)},
+                 {"state", Json(state)},
+                 {"max_leases", Json(first)},
+                 {"active_leases", Json(first + 1)},
+                 {"jobs_assigned", Json(first + 2)},
+                 {"jobs_completed", Json(first + 3)}});
+}
+
 std::string Hex(std::string_view bytes) {
   static constexpr char kDigits[] = "0123456789abcdef";
   std::string hex;
@@ -613,33 +623,24 @@ std::vector<GoldenFrame> GoldenFrames() {
       {WireType::kNoJob,
        Object({{"type", Json("no_job")}, {"retry_after", Json(15.0)}}),
        "48544e500100120010000000f428bafc00000000000029400000000000002e40"},
-      {WireType::kAck, Object({{"type", Json("ack")}}), "48544e500100130009000000c426ec21000000000000294000"},
+      {WireType::kAck, Object({{"type", Json("ack")}}),
+       "48544e500100130009000000c426ec21000000000000294000"},
       {WireType::kAck,
        Object({{"type", Json("ack")}, {"stale", Json(true)}}),
        "48544e5001001300090000007e77e5b8000000000000294003"},
       {WireType::kAck,
        Object({{"type", Json("ack")}, {"stale", Json(false)}}),
        "48544e5001001300090000005216eb56000000000000294001"},
-      {WireType::kLeaseLost, Object({{"type", Json("lease_lost")}}), "48544e5001001400080000001201b8570000000000002940"},
+      {WireType::kLeaseLost, Object({{"type", Json("lease_lost")}}),
+       "48544e5001001400080000001201b8570000000000002940"},
       {WireType::kError,
        Object({{"type", Json("error")}, {"message", Json("bad Ω")}}),
        "48544e5001001500120000001870c1ae00000000000029400600000062616420"
        "cea9"},
       {WireType::kStudies,
        Object({{"type", Json("studies")},
-               {"studies",
-                JsonArray{Object({{"study", Json("a")},
-                                  {"state", Json("active")},
-                                  {"max_leases", Json(std::int64_t{0})},
-                                  {"active_leases", Json(std::int64_t{1})},
-                                  {"jobs_assigned", Json(std::int64_t{2})},
-                                  {"jobs_completed", Json(std::int64_t{3})}}),
-                          Object({{"study", Json("b")},
-                                  {"state", Json("suspended")},
-                                  {"max_leases", Json(std::int64_t{4})},
-                                  {"active_leases", Json(std::int64_t{5})},
-                                  {"jobs_assigned", Json(std::int64_t{6})},
-                                  {"jobs_completed", Json(std::int64_t{7})}})}}}),
+               {"studies", JsonArray{GoldenStudy("a", "active", 0),
+                                     GoldenStudy("b", "suspended", 4)}}}),
        "48544e5001001600540000004da147cb00000000000029400200000001006100"
        "0000000000000000010000000000000002000000000000000300000000000000"
        "0100620104000000000000000500000000000000060000000000000007000000"
@@ -717,6 +718,179 @@ TEST(WireGolden, CoversEveryWireType) {
                  CheckError)
         << value;
   }
+}
+
+// --- Canonical decoding: the decoder accepts exactly the encoder's bytes ---
+
+/// Decodes a hand-built payload, framed and CRC-checked like real traffic.
+WireMessage DecodePayload(WireType type, const std::string& payload) {
+  FrameDecoder decoder;
+  decoder.Feed(EncodeFrame(type, payload));
+  const auto frame = decoder.Next();
+  HT_CHECK(frame.has_value());
+  return DecodeMessage(*frame);
+}
+
+/// A one-parameter config {"a": 1.5}, optionally with "a" written twice.
+void WriteConfigA(WireWriter& writer, bool duplicate) {
+  writer.U16(duplicate ? 2 : 1);
+  for (int i = 0; i < (duplicate ? 2 : 1); ++i) {
+    writer.ShortString("a");
+    writer.U8(0);
+    writer.F64(1.5 + i);
+  }
+}
+
+void WriteJobA(WireWriter& writer, bool duplicate_param) {
+  writer.I64(1);  // trial
+  WriteConfigA(writer, duplicate_param);
+  writer.F64(0);  // from
+  writer.F64(1);  // to
+  writer.I64(0);  // rung
+  writer.I64(0);  // bracket
+  writer.I64(0);  // tag
+}
+
+TEST(WireCodecCanonical, RejectsNonCanonicalPayloads) {
+  struct Case {
+    const char* what;
+    WireType type;
+    std::string payload;
+  };
+  std::vector<Case> cases;
+  for (const std::uint8_t flags : {0x02, 0x04, 0xFF}) {
+    WireWriter w;
+    w.F64(0);
+    w.U8(flags);
+    cases.push_back({"ack flags", WireType::kAck, w.Take()});
+  }
+  {
+    WireWriter w;
+    w.F64(0);
+    w.U32(1);
+    w.ShortString("s");
+    w.U8(7);  // state: only 0 (active) and 1 (suspended) exist
+    for (int i = 0; i < 4; ++i) w.I64(0);
+    cases.push_back({"studies state byte", WireType::kStudies, w.Take()});
+  }
+  {
+    WireWriter w;
+    w.F64(0);
+    w.ShortString("s");
+    WriteConfigA(w, false);
+    w.U8(9);  // quota presence byte
+    w.I64(4);
+    cases.push_back({"create_study presence byte", WireType::kCreateStudy,
+                     w.Take()});
+  }
+  {
+    WireWriter w;
+    w.F64(0);
+    w.U32(1);
+    w.I64(7);
+    WriteJobA(w, false);
+    w.F64(30);
+    w.U8(5);  // retry presence byte
+    w.F64(2);
+    cases.push_back({"jobs presence byte", WireType::kJobs, w.Take()});
+  }
+  {
+    // An empty study-scoped batch cannot show its scope: the encoder
+    // writes an empty batch as kJobs, so kJobsStudy with zero entries has
+    // no canonical source.
+    WireWriter w;
+    w.F64(0);
+    w.U32(0);
+    w.F64(30);
+    w.U8(0);
+    cases.push_back({"empty kJobsStudy", WireType::kJobsStudy, w.Take()});
+  }
+  {
+    WireWriter w;
+    w.F64(0);
+    w.ShortString("s");
+    WriteConfigA(w, true);
+    w.U8(0);
+    cases.push_back({"create_study duplicate parameter",
+                     WireType::kCreateStudy, w.Take()});
+  }
+  {
+    WireWriter w;
+    w.F64(0);
+    w.I64(7);
+    WriteJobA(w, true);
+    w.F64(30);
+    cases.push_back({"job duplicate parameter", WireType::kJob, w.Take()});
+  }
+  for (const Case& c : cases) {
+    EXPECT_THROW(DecodePayload(c.type, c.payload), CheckError) << c.what;
+  }
+
+  // The same payloads with canonical bytes decode fine: the rejections
+  // above are about the one bad byte, not the hand-built layout.
+  WireWriter ack;
+  ack.F64(0);
+  ack.U8(3);
+  EXPECT_EQ(DecodePayload(WireType::kAck, ack.Take()).message.Dump(),
+            R"({"type":"ack","stale":true})");
+  WireWriter job;
+  job.F64(0);
+  job.I64(7);
+  WriteJobA(job, false);
+  job.F64(30);
+  EXPECT_EQ(DecodePayload(WireType::kJob, job.Take())
+                .message.at("job")
+                .at("config")
+                .Dump(),
+            R"({"a":1.5})");
+}
+
+TEST(WireCodecCanonical, AcceptedMutationsReEncodeByteForByte) {
+  // Mutate the payloads of valid samples, re-frame them (valid CRC), and
+  // require every payload the decoder accepts to be exactly what the
+  // encoder would write for the decoded message.
+  std::size_t accepted = 0;
+  std::size_t tried = 0;
+  for (const std::uint64_t seed : {3ull, 11ull, 2024ull}) {
+    Rng rng(seed);
+    for (int round = 0; round < 20; ++round) {
+      for (const Json& message : ProtocolSamples(rng)) {
+        FrameDecoder decoder;
+        decoder.Feed(EncodeMessage(message, rng.Uniform()));
+        const WireFrame original = *decoder.Next();
+        for (int trial = 0; trial < 8; ++trial) {
+          std::string payload = original.payload;
+          const std::size_t edits = 1 + rng.Index(3);
+          for (std::size_t e = 0; e < edits; ++e) {
+            const std::size_t at = rng.Index(payload.size());
+            // Small values hit the presence/state/flag/kind bytes.
+            payload[at] = static_cast<char>(
+                rng.Bernoulli(0.5) ? rng.UniformInt(0, 3)
+                                   : rng.UniformInt(0, 255));
+          }
+          if (rng.Bernoulli(0.1)) payload.resize(rng.Index(payload.size()));
+          // Sometimes file the bytes under another (or an unknown) type.
+          const WireType type =
+              rng.Bernoulli(0.2)
+                  ? static_cast<WireType>(rng.UniformInt(1, 25))
+                  : original.type;
+          ++tried;
+          WireMessage decoded;
+          try {
+            decoded = DecodePayload(type, payload);
+          } catch (const CheckError&) {
+            continue;  // rejected: fine, as long as nothing crashed
+          }
+          ++accepted;
+          EXPECT_EQ(Hex(EncodeMessage(decoded.message, decoded.now)),
+                    Hex(EncodeFrame(type, payload)))
+              << decoded.message.Dump();
+        }
+      }
+    }
+  }
+  // The mutations must reach past the first byte: many survive decoding.
+  EXPECT_GT(accepted, tried / 10);
 }
 
 TEST(WireWriterReader, PrimitivesRoundTripAtBoundaries) {

@@ -1,15 +1,20 @@
 // Seeded wire fuzzer: hammers a live NetServer over loopback TCP with a
-// mix of valid frames, bit-flipped mutations of valid frames, pure random
-// bytes, JSON-line garbage, and frames split mid-header — the traffic a
-// hostile or broken client could ever produce. The server runs with every
-// hardening knob engaged (max_connections, max_outbuf_bytes, overload
-// shedding) so the fuzz also walks the eviction/shed paths.
+// mix of valid frames, bit-flipped mutations of valid frames, mutated
+// payloads re-framed with a valid CRC, pure random bytes, JSON-line
+// garbage, and frames split mid-header — the traffic a hostile or broken
+// client could ever produce. The server runs with every hardening knob
+// engaged (max_connections, max_outbuf_bytes, overload shedding) so the
+// fuzz also walks the eviction/shed paths.
 //
 // The tool asserts nothing about replies — by design most inputs are
-// garbage and most connections get poisoned and closed. The contract is
-// purely "no crash, no hang, no leak": CI runs it under ASan/UBSan
+// garbage and most connections get poisoned and closed. The server-side
+// contract is "no crash, no hang, no leak": CI runs it under ASan/UBSan
 // (`wire_fuzz --frames 50000`) and any sanitizer report or non-zero exit
-// fails the build. Fully deterministic in --seed, so a failing run
+// fails the build. Bit flips almost always die at the CRC check, so the
+// re-framed payload mutations are what reach the payload decoder; each one
+// is also decoded in-process, and a payload the decoder accepts must
+// re-encode byte for byte (the codec accepts only canonical bytes) or the
+// run exits non-zero. Fully deterministic in --seed, so a failing run
 // replays exactly.
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -20,9 +25,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "common/check.h"
 #include "common/json.h"
 #include "common/rng.h"
 #include "core/random_search.h"
@@ -145,14 +152,81 @@ std::string RandomBytes(Rng& rng, std::size_t max_size) {
   return bytes;
 }
 
+/// Messages whose payloads carry the presence, state and flag bytes and
+/// the nested configs and entries that the lease requests lack.
+constexpr const char* kRichMessages[] = {
+    R"({"type":"ack","stale":true})",
+    R"({"type":"no_job","retry_after":1.5,"shed":true})",
+    R"({"type":"create_study","study":"s","config":{"lr":0.5,"depth":3},)"
+    R"("max_leases":2})",
+    R"({"type":"jobs","jobs":[{"job_id":1,"job":{"trial":0,)"
+    R"("config":{"x":0.5,"act":"relu"},"from":0.0,"to":1.0,"rung":0,)"
+    R"("bracket":0,"tag":0},"study":"s"}],"lease_timeout":60.0,)"
+    R"("retry_after":5.0})",
+    R"({"type":"studies","studies":[{"study":"s","state":"active",)"
+    R"("max_leases":0,"active_leases":0,"jobs_assigned":0,)"
+    R"("jobs_completed":0}]})",
+};
+
+/// A valid message's payload with 1..4 bytes overwritten — often with the
+/// small values presence, state and flag bytes take — and sometimes cut
+/// short or filed under another frame type, so every layout's decoder sees
+/// near-miss bytes. The caller frames it with a valid CRC.
+WireFrame MutatedPayload(Rng& rng) {
+  const Json message =
+      rng.Bernoulli(0.5)
+          ? ValidRequest(rng)
+          : Json::Parse(kRichMessages[rng.Index(std::size(kRichMessages))]);
+  FrameDecoder decoder;
+  decoder.Feed(EncodeMessage(message, rng.Uniform(0, 1000)));
+  WireFrame frame = *decoder.Next();
+  const std::size_t edits = 1 + rng.Index(4);
+  for (std::size_t e = 0; e < edits; ++e) {
+    frame.payload[rng.Index(frame.payload.size())] = static_cast<char>(
+        rng.Bernoulli(0.5) ? rng.UniformInt(0, 3) : rng.UniformInt(0, 255));
+  }
+  if (rng.Bernoulli(0.1)) {
+    frame.payload.resize(rng.Index(frame.payload.size()));
+  }
+  if (rng.Bernoulli(0.3)) {
+    frame.type = static_cast<WireType>(rng.UniformInt(1, 25));
+  }
+  return frame;
+}
+
 struct FuzzCounts {
   std::size_t valid = 0;
   std::size_t mutated = 0;
+  std::size_t payload = 0;
+  std::size_t payload_accepted = 0;
+  std::size_t noncanonical = 0;
   std::size_t random = 0;
   std::size_t json = 0;
   std::size_t split = 0;
   std::size_t reconnects = 0;
 };
+
+/// Decodes `frame` in-process, as the server will. A payload the decoder
+/// accepts must be exactly what the encoder writes for the decoded message;
+/// anything else is counted (and printed) as non-canonical.
+void CheckCanonical(const WireFrame& frame, const std::string& framed,
+                    FuzzCounts& counts) {
+  WireMessage decoded;
+  try {
+    decoded = DecodeMessage(frame);
+  } catch (const CheckError&) {
+    return;  // rejected: the server answers it with an error reply
+  }
+  ++counts.payload_accepted;
+  try {
+    if (EncodeMessage(decoded.message, decoded.now) == framed) return;
+  } catch (const CheckError&) {
+    // Accepted bytes the encoder refuses to write: non-canonical too.
+  }
+  ++counts.noncanonical;
+  std::printf("wire_fuzz: accepted a non-canonical type-%d payload: %s\n",
+              static_cast<int>(frame.type), decoded.message.Dump().c_str());
+}
 
 int RunFuzz(std::size_t frames, std::uint64_t seed) {
   RandomSearchOptions options;
@@ -186,7 +260,7 @@ int RunFuzz(std::size_t frames, std::uint64_t seed) {
     if (draw < 0.35) {
       bytes = EncodeMessage(ValidRequest(rng), rng.Uniform(0, 1000));
       ++counts.valid;
-    } else if (draw < 0.65) {
+    } else if (draw < 0.50) {
       // A valid frame with 1..8 random bytes flipped: hits every decode
       // rejection (magic, version, type, length, CRC, payload underrun).
       bytes = EncodeMessage(ValidRequest(rng), rng.Uniform(0, 1000));
@@ -196,6 +270,11 @@ int RunFuzz(std::size_t frames, std::uint64_t seed) {
             static_cast<char>(1 + rng.UniformInt(0, 254));
       }
       ++counts.mutated;
+    } else if (draw < 0.65) {
+      const WireFrame frame = MutatedPayload(rng);
+      bytes = EncodeFrame(frame.type, frame.payload);
+      CheckCanonical(frame, bytes, counts);
+      ++counts.payload;
     } else if (draw < 0.80) {
       bytes = RandomBytes(rng, 128);
       ++counts.random;
@@ -238,10 +317,12 @@ int RunFuzz(std::size_t frames, std::uint64_t seed) {
 
   const NetServerStats stats = net.stats();
   std::printf(
-      "wire_fuzz frames=%zu seed=%llu valid=%zu mutated=%zu random=%zu "
-      "json=%zu split=%zu reconnects=%zu\n",
+      "wire_fuzz frames=%zu seed=%llu valid=%zu mutated=%zu payload=%zu "
+      "(accepted=%zu noncanonical=%zu) random=%zu json=%zu split=%zu "
+      "reconnects=%zu\n",
       frames, static_cast<unsigned long long>(seed), counts.valid,
-      counts.mutated, counts.random, counts.json, counts.split,
+      counts.mutated, counts.payload, counts.payload_accepted,
+      counts.noncanonical, counts.random, counts.json, counts.split,
       counts.reconnects);
   std::printf(
       "server   handled=%zu rejected=%zu bad_magic=%zu bad_version=%zu "
@@ -262,6 +343,11 @@ int RunFuzz(std::size_t frames, std::uint64_t seed) {
   if (stats.messages_handled == 0 || stats.frames_bad_magic == 0 ||
       stats.frames_bad_crc == 0) {
     std::printf("wire_fuzz: traffic mix failed to exercise the server\n");
+    return 1;
+  }
+  if (counts.noncanonical != 0) {
+    std::printf("wire_fuzz: the decoder accepted %zu non-canonical payloads\n",
+                counts.noncanonical);
     return 1;
   }
   std::printf("wire_fuzz passed: server survived the storm\n");
