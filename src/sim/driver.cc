@@ -17,14 +17,10 @@ namespace {
 
 }  // namespace
 
-// The run loop, templated over the event-queue engine. Everything the
-// tuning algorithms observe — lease order, completion order, worker
-// assignment, clock advances — is independent of Queue: both engines pop
-// in identical (end, seq) order. All mutable per-run state lives in
-// `context`, already reset by the caller; reusing a context across runs
-// changes only where the storage comes from, never a byte of output.
-template <typename Queue>
-DriverResult SimulationDriver::RunLoop(Queue& queue, SimContext& context) {
+// All mutable per-run state lives in `context`, reset here; reusing a
+// context across runs changes only where the storage comes from, never a
+// byte of output.
+DriverResult SimulationDriver::Run(SimContext& context) {
   Scheduler& scheduler = scheduler_;
   JobEnvironment& environment = environment_;
   const DriverOptions& options = options_;
@@ -63,6 +59,9 @@ DriverResult SimulationDriver::RunLoop(Queue& queue, SimContext& context) {
   // Lowest-index-first worker assignment keeps trace tracks deterministic.
   IdleWorkerSet& idle_workers = context.idle_workers_;
   idle_workers.Reset(options.num_workers);
+  BinaryEventHeap& queue = context.heap_;
+  queue.Clear();
+  queue.Reserve(workers);
   double now = 0;
   std::uint64_t seq = 0;
 
@@ -161,18 +160,6 @@ SimulationDriver::SimulationDriver(Scheduler& scheduler,
 DriverResult SimulationDriver::Run() {
   SimContext context;
   return Run(context);
-}
-
-DriverResult SimulationDriver::Run(SimContext& context) {
-  if (options_.event_queue == SimEngine::kCalendar) {
-    context.calendar_.Reset(
-        {.expected_events = static_cast<std::size_t>(options_.num_workers),
-         .skip_ahead = options_.skip_ahead});
-    return RunLoop(context.calendar_, context);
-  }
-  context.heap_.Clear();
-  context.heap_.Reserve(static_cast<std::size_t>(options_.num_workers));
-  return RunLoop(context.heap_, context);
 }
 
 }  // namespace hypertune

@@ -11,8 +11,9 @@
 // The driver is a thin adapter over the shared trial-lifecycle core
 // (src/lifecycle): TrialLifecycle owns leasing, outcome validation,
 // RunRecord/recommendation recording, and job-span emission; the driver
-// contributes what is backend-specific — virtual time, the event queue,
-// and deterministic lowest-free-index worker assignment.
+// contributes what is backend-specific — virtual time, one binary event
+// heap that pops completions in ascending (end, seq) order, and
+// deterministic lowest-free-index worker assignment.
 #pragma once
 
 #include <cstdint>
@@ -29,15 +30,12 @@ namespace hypertune {
 
 class Telemetry;
 
-/// Which event-queue implementation orders completions (see
-/// src/sim/event_queue.h). Both pop in exactly ascending (end, seq) order —
-/// a property test holds them to identical pop sequences — so decisions,
-/// records, and traces are byte-identical across engines.
+/// Ignored. The simulator has one event queue, BinaryEventHeap (see
+/// src/sim/event_queue.h). This enum survives only because
+/// perfbench/src/sweep.cc still names an engine; setting it changes
+/// nothing, and it goes once that caller stops naming one.
 enum class SimEngine {
-  /// Array binary min-heap: O(log n) per event, the safe default.
   kBinaryHeap,
-  /// Brown's calendar queue: amortized O(1) per event when completion
-  /// times are spread evenly (the tabular-benchmark regime).
   kCalendar,
 };
 
@@ -57,12 +55,8 @@ struct DriverOptions {
   /// driver.* counters/gauges. With a virtual-clock sink and a fixed seed
   /// the recorded trace is byte-identical across reruns.
   Telemetry* telemetry = nullptr;
-  /// Event-queue engine; changes throughput, never decisions.
+  /// Ignored shim; see SimEngine. Nothing in the simulator reads it.
   SimEngine event_queue = SimEngine::kBinaryHeap;
-  /// Calendar engine only: when the current virtual "day" holds no due
-  /// event, jump the cursor straight to the next event instead of stepping
-  /// day by day across the idle gap.
-  bool skip_ahead = true;
   /// Keep one RunRecord per resolved job in DriverResult::completions.
   /// Throughput harnesses (bench/micro_sim) turn this off; counters and
   /// recommendations are unaffected.
@@ -95,7 +89,7 @@ struct DriverResult {
   std::size_t jobs_in_flight = 0;
 };
 
-/// Reusable cross-run storage for SimulationDriver — the event queues, the
+/// Reusable cross-run storage for SimulationDriver — the event heap, the
 /// payload slab (each slot's Configuration capacity included), the idle
 /// bitmap, and the per-worker timing buffer. A sweep keeps one context per
 /// thread and passes it to Run() for every cell, so storage is allocated
@@ -114,7 +108,7 @@ class SimContext {
 
   /// Everything a scheduled job carries besides its (end, seq) ordering
   /// key, indexed by worker slot — the simulator runs at most one job per
-  /// worker — so the event queues sift only 20-byte SimEvents and the Job
+  /// worker — so the event heap sifts only 20-byte SimEvents and the Job
   /// payload (Configuration included) is written once and never moved.
   struct Slot {
     LeasedJob lease;
@@ -124,7 +118,6 @@ class SimContext {
   };
 
   BinaryEventHeap heap_;
-  CalendarEventQueue calendar_;
   std::vector<Slot> slab_;
   std::vector<double> free_since_;  // when each worker last became free
   IdleWorkerSet idle_workers_{1};
@@ -144,9 +137,6 @@ class SimulationDriver {
   DriverResult Run(SimContext& context);
 
  private:
-  template <typename Queue>
-  DriverResult RunLoop(Queue& queue, SimContext& context);
-
   Scheduler& scheduler_;
   JobEnvironment& environment_;
   DriverOptions options_;

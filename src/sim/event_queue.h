@@ -1,23 +1,12 @@
-// Index-based event queues for the simulation engine.
+// The simulation engine's event queue and idle-worker pool.
 //
-// The driver used to keep whole ActiveJob payloads (a Job, Configuration
-// included) inside a std::priority_queue, so every heap sift moved fat,
-// heap-allocating objects. The engine now keeps payloads in a slab indexed
-// by worker slot and orders only 20-byte {end, seq, slot} events. Two
-// implementations share one ordering contract:
-//
-//   * BinaryEventHeap — a plain array binary min-heap; the safe default.
-//   * CalendarEventQueue — Brown's calendar queue: events hash into
-//     bucketed "days" by end time, so push and pop are O(1) when event
-//     times are spread evenly (the zero-cost-benchmark regime). A
-//     skip-ahead mode jumps the day cursor directly to the next event
-//     instead of stepping day by day across idle gaps.
-//
-// Both pop in exactly ascending (end, seq) order — `seq` is the driver's
-// FIFO tie-break for same-tick completions — and a property test
-// (tests/sim_engine_test.cc) holds them to identical pop sequences on
-// randomized event mixes. Precondition shared with the simulator: time is
-// monotone, i.e. every pushed event's `end` is >= the last popped `end`.
+// The driver keeps job payloads in a slab indexed by worker slot and orders
+// only 20-byte {end, seq, slot} events, so a sift never moves a Job or its
+// Configuration. BinaryEventHeap, a plain array binary min-heap, is the one
+// event queue. It pops in exactly ascending (end, seq) order — `seq` is the
+// driver's FIFO tie-break for same-tick completions — and a property test
+// (tests/sim_engine_test.cc) checks its pop sequence against a sorted-vector
+// reference on randomized driver-shaped workloads.
 #pragma once
 
 #include <bit>
@@ -36,7 +25,7 @@ struct SimEvent {
   std::uint32_t slot = 0;
 };
 
-/// The total order both queues pop in: by end time, FIFO within a tick.
+/// The total order the queue pops in: by end time, FIFO within a tick.
 inline bool EventBefore(const SimEvent& a, const SimEvent& b) {
   if (a.end != b.end) return a.end < b.end;
   return a.seq < b.seq;
@@ -95,97 +84,6 @@ class BinaryEventHeap {
   std::vector<SimEvent> events_;  // implicit binary min-heap
 };
 
-struct CalendarQueueOptions {
-  /// Expected concurrent event count (the driver passes its worker count);
-  /// the bucket count is sized to ~2x this, rounded up to a power of two.
-  std::size_t expected_events = 64;
-  /// When the current day's bucket holds no due event, jump the cursor
-  /// straight to the global minimum instead of stepping day by day.
-  bool skip_ahead = true;
-};
-
-class CalendarEventQueue {
- public:
-  explicit CalendarEventQueue(CalendarQueueOptions options = {});
-
-  /// Reinitializes for a fresh run (time restarts at 0), reusing the bucket
-  /// storage whenever the requested sizing keeps the same bucket count.
-  void Reset(CalendarQueueOptions options);
-
-  // Push/Top/PopTop are inline for the same reason as BinaryEventHeap's;
-  // the searches they lean on (Locate/DirectSearch/AdaptWidth) stay
-  // out of line.
-  void Push(const SimEvent& event) {
-    if (!(event.end >= floor_)) [[unlikely]] FailBelowFloor(event.end);
-    if (size_ >= adapt_threshold_ || ++pushes_ == 64) AdaptWidth();
-    const std::size_t bucket = DayOf(event.end) & mask_;
-    buckets_[bucket].push_back(event);
-    ++size_;
-    if (cache_valid_ &&
-        EventBefore(event, buckets_[cache_bucket_][cache_pos_])) {
-      cache_bucket_ = bucket;
-      cache_pos_ = buckets_[bucket].size() - 1;
-    }
-  }
-
-  /// Smallest (end, seq) event; queue must be non-empty. The located
-  /// position is cached, so a Top/PopTop pair costs one search.
-  const SimEvent& Top() const {
-    if (!cache_valid_) Locate();
-    return buckets_[cache_bucket_][cache_pos_];
-  }
-
-  void PopTop() {
-    if (!cache_valid_) Locate();
-    auto& bucket = buckets_[cache_bucket_];
-    const SimEvent top = bucket[cache_pos_];
-    cur_day_ = DayOf(top.end);
-    floor_ = top.end;
-    bucket[cache_pos_] = bucket.back();
-    bucket.pop_back();
-    --size_;
-    cache_valid_ = false;
-  }
-
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-
- private:
-  std::uint64_t DayOf(double end) const {
-    const double day = end / width_;
-    // Events beyond the representable day range all land on the last day;
-    // ordering stays correct (the in-day scan compares (end, seq)
-    // exactly), only bucket balance suffers.
-    if (day >= 9.0e18) return std::uint64_t{9000000000000000000ull};
-    return static_cast<std::uint64_t>(day);
-  }
-
-  [[noreturn]] void FailBelowFloor(double end) const;  // cold path
-  void Locate() const;        // fills the top cache
-  void DirectSearch() const;  // global min scan (the skip-ahead jump)
-  void AdaptWidth();          // width re-tuning, run on size doublings
-
-  std::vector<std::vector<SimEvent>> buckets_;
-  std::size_t mask_ = 0;       // buckets_.size() - 1 (power of two)
-  double width_ = 1.0;         // virtual-time span of one day
-  std::uint64_t cur_day_ = 0;  // day of the last popped event
-  double floor_ = 0;           // last popped end (monotone-time guard)
-  std::size_t size_ = 0;
-  // Re-tune the width when the live event count doubles past this (a
-  // 64-event sample is enough for the first estimate; each re-tune costs
-  // O(size), so doubling thresholds keep it amortized O(1) per push).
-  std::size_t adapt_threshold_ = 64;
-  std::size_t pushes_ = 0;  // trigger for the first (64-push-sample) tune
-  bool skip_ahead_ = true;
-
-  // Top cache: position of the minimum event, valid until the next PopTop
-  // (pushes keep it correct — they only append, and a new minimum simply
-  // replaces the cached position).
-  mutable bool cache_valid_ = false;
-  mutable std::size_t cache_bucket_ = 0;
-  mutable std::size_t cache_pos_ = 0;
-};
-
 /// The idle-worker pool: a two-level bitmap with O(1) lowest-free-index pop,
 /// replacing the std::set<int> (one node allocation per insert) while
 /// preserving the deterministic lowest-index-first assignment order.
@@ -198,7 +96,7 @@ class IdleWorkerSet {
   /// not outgrow it.
   void Reset(int n);
 
-  // Inline like the event queues: one Insert/PopLowest pair per job.
+  // Inline like the event heap: one Insert/PopLowest pair per job.
   void Insert(int worker) {
     const auto w = static_cast<std::size_t>(worker);
     words_[w / 64] |= std::uint64_t{1} << (w % 64);

@@ -67,7 +67,6 @@ SweepCellResult RunCell(const SweepShared& shared, const SweepCell& cell,
                  spec.full_train_budget * norms.mean_full_time);
   }
   options.max_completed_jobs = spec.max_jobs;
-  options.event_queue = spec.event_queue;
   options.record_runs = false;
   options.track_recommendations = false;
   SimulationDriver driver(*scheduler, table, options);

@@ -48,7 +48,8 @@ struct SweepSpec {
   /// Per-cell completion cap (0 = none). Open-ended tuners (ASHA) need at
   /// least one of the three stop criteria.
   std::size_t max_jobs = 0;
-  /// Event-queue engine for every cell; changes throughput, never results.
+  /// Ignored shim (see SimEngine): RunSweep never reads it, and every cell
+  /// runs on the simulator's one event heap.
   SimEngine event_queue = SimEngine::kCalendar;
 };
 

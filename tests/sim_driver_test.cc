@@ -207,9 +207,9 @@ TEST(Driver, DeterministicAcrossRuns) {
 
 TEST(Driver, ReusedSimContextMatchesFreshRuns) {
   // The sweep engine's hot path: one SimContext carried across studies with
-  // different engines and fleet sizes (shrinking and growing the reused
-  // storage) must replay each study exactly as a cold context would.
-  auto run = [](SimContext* context, SimEngine engine, int workers) {
+  // different fleet sizes (shrinking and growing the reused storage) must
+  // replay each study exactly as a cold context would.
+  auto run = [](SimContext* context, int workers) {
     RandomSearchOptions rs_options;
     rs_options.R = 10;
     rs_options.max_trials = 40;
@@ -218,29 +218,24 @@ TEST(Driver, ReusedSimContextMatchesFreshRuns) {
     LinearEnv env;
     DriverOptions options;
     options.num_workers = workers;
-    options.event_queue = engine;
     options.hazards.straggler_std = 0.5;
     options.hazards.drop_probability = 0.001;
     SimulationDriver driver(scheduler, env, options);
     return context != nullptr ? driver.Run(*context) : driver.Run();
   };
   SimContext context;
-  for (const SimEngine engine :
-       {SimEngine::kBinaryHeap, SimEngine::kCalendar}) {
-    for (const int workers : {7, 3, 16}) {
-      const auto fresh = run(nullptr, engine, workers);
-      const auto reused = run(&context, engine, workers);
-      EXPECT_DOUBLE_EQ(fresh.end_time, reused.end_time);
-      EXPECT_EQ(fresh.jobs_completed, reused.jobs_completed);
-      EXPECT_EQ(fresh.jobs_dropped, reused.jobs_dropped);
-      ASSERT_EQ(fresh.completions.size(), reused.completions.size());
-      for (std::size_t i = 0; i < fresh.completions.size(); ++i) {
-        EXPECT_DOUBLE_EQ(fresh.completions[i].end_time,
-                         reused.completions[i].end_time);
-        EXPECT_EQ(fresh.completions[i].trial_id,
-                  reused.completions[i].trial_id);
-        EXPECT_EQ(fresh.completions[i].lost, reused.completions[i].lost);
-      }
+  for (const int workers : {7, 3, 16}) {
+    const auto fresh = run(nullptr, workers);
+    const auto reused = run(&context, workers);
+    EXPECT_DOUBLE_EQ(fresh.end_time, reused.end_time);
+    EXPECT_EQ(fresh.jobs_completed, reused.jobs_completed);
+    EXPECT_EQ(fresh.jobs_dropped, reused.jobs_dropped);
+    ASSERT_EQ(fresh.completions.size(), reused.completions.size());
+    for (std::size_t i = 0; i < fresh.completions.size(); ++i) {
+      EXPECT_DOUBLE_EQ(fresh.completions[i].end_time,
+                       reused.completions[i].end_time);
+      EXPECT_EQ(fresh.completions[i].trial_id, reused.completions[i].trial_id);
+      EXPECT_EQ(fresh.completions[i].lost, reused.completions[i].lost);
     }
   }
 }

@@ -1,16 +1,18 @@
-// The simulator-engine contract (DESIGN.md §9): the binary heap and the
-// calendar queue pop in exactly ascending (end, seq) order, so swapping the
-// engine can never change a scheduling decision. These tests hold the two
-// queues to identical pop sequences on randomized driver-like workloads,
-// pin the idle-worker set's lowest-index-first order, and check the
-// stranded in-flight accounting added to DriverResult.
+// The simulator-engine contract (DESIGN.md §9): the event heap pops in
+// exactly ascending (end, seq) order, so the driver's completion order is
+// fixed by the events alone. These tests check BinaryEventHeap against a
+// sorted-vector reference on randomized driver-shaped workloads, pin the
+// idle-worker set's lowest-index-first order, and check batched telemetry
+// and the stranded in-flight accounting in DriverResult.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <tuple>
 #include <vector>
 
-#include "common/check.h"
 #include "common/rng.h"
 #include "core/asha.h"
 #include "sim/driver.h"
@@ -20,104 +22,105 @@
 namespace hypertune {
 namespace {
 
-// Drains both queues under a driver-shaped workload: pop the earliest
-// event, then push a few new events at or after the popped time (the
-// monotone-time precondition the driver guarantees). Quantized end times
-// force frequent same-tick ties that only the seq number breaks.
-void CheckIdenticalPopOrder(std::uint64_t seed, bool skip_ahead,
-                            std::size_t expected_events, bool quantize) {
+// The reference queue: a vector kept sorted by (end, seq), popped from the
+// front. Obviously correct and O(n) per operation; it compares with its
+// own key, not the EventBefore the heap uses.
+class SortedVectorQueue {
+ public:
+  void Push(const SimEvent& event) {
+    auto key = [](const SimEvent& e) { return std::tie(e.end, e.seq); };
+    events_.insert(std::upper_bound(events_.begin(), events_.end(), event,
+                                    [&](const SimEvent& a, const SimEvent& b) {
+                                      return key(a) < key(b);
+                                    }),
+                   event);
+  }
+  const SimEvent& Top() const { return events_.front(); }
+  void PopTop() { events_.erase(events_.begin()); }
+  bool empty() const { return events_.empty(); }
+
+ private:
+  std::vector<SimEvent> events_;
+};
+
+// Drives the heap and the reference through the driver's pattern: `workers`
+// slots each hold at most one event; each pop frees its slot, and the
+// freed slots are refilled (lowest first) unless the scheduler is "dry" on
+// this pop, so the live count wanders below `workers` and back. Durations
+// span four powers of three, as ASHA rungs do. With `quantize`, ends land
+// on integer ticks, so many events share an instant and only seq orders
+// them.
+void CheckAgainstReference(std::uint64_t seed, int workers, bool quantize) {
   Rng rng(seed);
   BinaryEventHeap heap;
-  CalendarEventQueue calendar(
-      {.expected_events = expected_events, .skip_ahead = skip_ahead});
-
+  SortedVectorQueue reference;
+  std::vector<std::uint32_t> idle;
+  for (int w = workers - 1; w >= 0; --w) {
+    idle.push_back(static_cast<std::uint32_t>(w));
+  }
+  const int budget = std::max(2000, 4 * workers);  // pushes in total
+  int pushed = 0;
   std::uint64_t seq = 0;
   double now = 0;
-  auto push_one = [&] {
-    double end = now + rng.Uniform(0.0, 100.0);
-    if (quantize) end = now + static_cast<double>(rng.UniformInt(0, 5));
-    const SimEvent event{end, seq++, static_cast<std::uint32_t>(seq % 64)};
-    heap.Push(event);
-    calendar.Push(event);
+  auto dispatch_idle = [&] {
+    while (!idle.empty() && pushed < budget) {
+      double duration = rng.Uniform(0.01, 1.0);
+      if (quantize) duration = static_cast<double>(rng.UniformInt(1, 3));
+      for (std::int64_t rung = rng.UniformInt(0, 3); rung > 0; --rung) {
+        duration *= 3;
+      }
+      const SimEvent event{now + duration, seq++, idle.back()};
+      idle.pop_back();
+      heap.Push(event);
+      reference.Push(event);
+      ++pushed;
+    }
   };
 
-  for (int i = 0; i < 50; ++i) push_one();
+  dispatch_idle();
   int popped = 0;
-  while (!heap.empty()) {
-    ASSERT_FALSE(calendar.empty());
-    const SimEvent a = heap.Top();
-    const SimEvent b = calendar.Top();
-    ASSERT_EQ(a.end, b.end) << "pop " << popped;
-    ASSERT_EQ(a.seq, b.seq) << "pop " << popped;
-    ASSERT_EQ(a.slot, b.slot) << "pop " << popped;
+  while (!reference.empty()) {
+    ASSERT_FALSE(heap.empty());
+    const SimEvent want = reference.Top();
+    const SimEvent got = heap.Top();
+    ASSERT_EQ(got.end, want.end) << "pop " << popped;
+    ASSERT_EQ(got.seq, want.seq) << "pop " << popped;
+    ASSERT_EQ(got.slot, want.slot) << "pop " << popped;
     heap.PopTop();
-    calendar.PopTop();
-    now = a.end;
+    reference.PopTop();
+    now = want.end;
     ++popped;
-    if (popped < 2000) {
-      const std::int64_t births = rng.UniformInt(0, 3);
-      for (std::int64_t i = 0; i < births; ++i) push_one();
-    }
+    idle.insert(std::upper_bound(idle.begin(), idle.end(), want.slot,
+                                 std::greater<>()),
+                want.slot);
+    if (reference.empty() || rng.Uniform() < 0.8) dispatch_idle();
   }
-  EXPECT_TRUE(calendar.empty());
-  EXPECT_GE(popped, 2000);
+  EXPECT_TRUE(heap.empty());
+  EXPECT_EQ(popped, budget);
 }
 
-TEST(EventQueueProperty, HeapAndCalendarPopIdentically) {
-  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-    CheckIdenticalPopOrder(seed, /*skip_ahead=*/true, /*expected_events=*/64,
-                           /*quantize=*/false);
+constexpr int kFleets[] = {1, 4, 16, 512, 4096};
+
+TEST(EventQueueProperty, HeapMatchesSortedReference) {
+  for (const int workers : kFleets) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      SCOPED_TRACE(::testing::Message()
+                   << "workers " << workers << " seed " << seed);
+      CheckAgainstReference(seed, workers, /*quantize=*/false);
+    }
   }
 }
 
 TEST(EventQueueProperty, SameTickTiesBreakBySeq) {
   // Quantized ends put many events on the same instant; FIFO seq order is
   // the only thing separating them.
-  for (std::uint64_t seed = 10; seed <= 17; ++seed) {
-    CheckIdenticalPopOrder(seed, /*skip_ahead=*/true, /*expected_events=*/16,
-                           /*quantize=*/true);
-  }
-}
-
-TEST(EventQueueProperty, SkipAheadOffPopsIdentically) {
-  CheckIdenticalPopOrder(21, /*skip_ahead=*/false, /*expected_events=*/64,
-                         /*quantize=*/false);
-  CheckIdenticalPopOrder(22, /*skip_ahead=*/false, /*expected_events=*/4,
-                         /*quantize=*/true);
-}
-
-TEST(EventQueue, CalendarHandlesWideIdleGaps) {
-  // Sparse ends that jump far past the calendar's adapted year exercise
-  // the skip-ahead / direct-search path.
-  CalendarEventQueue calendar({.expected_events = 4, .skip_ahead = true});
-  BinaryEventHeap heap;
-  double now = 0;
-  for (std::uint64_t seq = 0; seq < 200; ++seq) {
-    const SimEvent event{now + 1.0 + static_cast<double>(seq % 3) * 1e6, seq,
-                         static_cast<std::uint32_t>(seq % 8)};
-    heap.Push(event);
-    calendar.Push(event);
-    if (seq % 2 == 1) {
-      ASSERT_EQ(heap.Top().seq, calendar.Top().seq);
-      now = heap.Top().end;
-      heap.PopTop();
-      calendar.PopTop();
+  for (const int workers : kFleets) {
+    for (std::uint64_t seed = 10; seed <= 13; ++seed) {
+      SCOPED_TRACE(::testing::Message()
+                   << "workers " << workers << " seed " << seed);
+      CheckAgainstReference(seed, workers, /*quantize=*/true);
     }
   }
-  while (!heap.empty()) {
-    ASSERT_EQ(heap.Top().seq, calendar.Top().seq);
-    heap.PopTop();
-    calendar.PopTop();
-  }
-  EXPECT_TRUE(calendar.empty());
-}
-
-TEST(EventQueue, CalendarRejectsPushBelowFloor) {
-  CalendarEventQueue calendar({.expected_events = 4});
-  calendar.Push({10.0, 0, 0});
-  calendar.Push({20.0, 1, 1});
-  calendar.PopTop();  // floor is now 10
-  EXPECT_THROW(calendar.Push({5.0, 2, 2}), CheckError);
 }
 
 TEST(IdleWorkerSet, PopsLowestIndexFirst) {
@@ -171,15 +174,13 @@ struct EngineRun {
   std::string jsonl;
 };
 
-EngineRun RunAsha(SimEngine engine, bool batch, int workers,
-                  std::size_t max_jobs = 0) {
+EngineRun RunAsha(bool batch, int workers, std::size_t max_jobs = 0) {
   AshaScheduler scheduler(MakeRandomSampler(UnitSpace()), SmallAsha());
   LinearEnv env;
   auto telemetry = Telemetry::ForSimulation();
   DriverOptions options;
   options.num_workers = workers;
   options.telemetry = telemetry.get();
-  options.event_queue = engine;
   options.batch_telemetry = batch;
   options.max_completed_jobs = max_jobs;
   SimulationDriver driver(scheduler, env, options);
@@ -210,25 +211,16 @@ void ExpectSameDecisions(const EngineRun& a, const EngineRun& b) {
   EXPECT_EQ(a.jsonl, b.jsonl);
 }
 
-TEST(EngineEquivalence, CalendarMatchesHeapByteForByte) {
-  for (const int workers : {1, 4, 16}) {
-    const EngineRun heap = RunAsha(SimEngine::kBinaryHeap, true, workers);
-    const EngineRun calendar = RunAsha(SimEngine::kCalendar, true, workers);
-    ExpectSameDecisions(heap, calendar);
-  }
-}
-
 TEST(EngineEquivalence, BatchedTelemetryMatchesUnbatched) {
-  const EngineRun batched = RunAsha(SimEngine::kBinaryHeap, true, 8);
-  const EngineRun unbatched = RunAsha(SimEngine::kBinaryHeap, false, 8);
+  const EngineRun batched = RunAsha(true, 8);
+  const EngineRun unbatched = RunAsha(false, 8);
   ExpectSameDecisions(batched, unbatched);
 }
 
 TEST(StrandedAccounting, InFlightJobsAreCountedNotDropped) {
   // Cap completions mid-run with several workers: the jobs still occupying
   // workers at the stop are in flight — not completed, not dropped.
-  const EngineRun run =
-      RunAsha(SimEngine::kBinaryHeap, true, 8, /*max_jobs=*/10);
+  const EngineRun run = RunAsha(true, 8, /*max_jobs=*/10);
   EXPECT_EQ(run.result.jobs_completed, 10u);
   EXPECT_GT(run.result.jobs_in_flight, 0u);
   EXPECT_LE(run.result.jobs_in_flight, 7u);  // at most workers - 1
@@ -237,7 +229,7 @@ TEST(StrandedAccounting, InFlightJobsAreCountedNotDropped) {
 }
 
 TEST(StrandedAccounting, DrainedRunHasNoInFlightJobs) {
-  const EngineRun run = RunAsha(SimEngine::kCalendar, true, 4);
+  const EngineRun run = RunAsha(true, 4);
   EXPECT_EQ(run.result.jobs_in_flight, 0u);
   EXPECT_GT(run.result.jobs_completed, 0u);
 }

@@ -201,17 +201,6 @@ TEST(SweepEngine, ReportByteIdenticalAcrossThreadCounts) {
   EXPECT_FALSE(reference.empty());
 }
 
-TEST(SweepEngine, ResultsIdenticalAcrossEventQueueEngines) {
-  auto table = TinyTable(1.0);
-  SweepSpec spec = TinySpec(table.get(), table.get());
-  spec.event_queue = SimEngine::kCalendar;
-  const auto calendar = RunSweep(spec, {.threads = 4});
-  spec.event_queue = SimEngine::kBinaryHeap;
-  const auto heap = RunSweep(spec, {.threads = 4});
-  EXPECT_EQ(BuildSweepReport(spec, calendar).Dump(),
-            BuildSweepReport(spec, heap).Dump());
-}
-
 TEST(SweepEngine, CellFailuresPropagateToCaller) {
   auto table = TinyTable(1.0);
   SweepSpec spec = TinySpec(table.get(), table.get());

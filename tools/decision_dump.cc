@@ -57,10 +57,6 @@
 namespace hypertune {
 namespace {
 
-// Which event-queue engine drives the simulator sections (--engine). The
-// goldens must hash identically under either value — that is the point.
-SimEngine g_engine = SimEngine::kBinaryHeap;
-
 std::unique_ptr<Scheduler> MakeScheduler(const std::string& kind,
                                          std::uint64_t seed) {
   auto scheduler = MakeDumpScheduler(kind, seed);
@@ -84,7 +80,6 @@ DriverResult RunDriver(const std::string& kind, std::uint64_t seed,
   options.max_completed_jobs = 2000;
   options.hazards = hazards;
   options.telemetry = telemetry;
-  options.event_queue = g_engine;
   SimulationDriver driver(*scheduler, env, options);
   return driver.Run();
 }
@@ -280,8 +275,7 @@ int Usage() {
                " [--hazards <straggler_std>,<drop_prob>]"
                " [--decisions-only]"
                " [--crash-at <K> --state-dir <dir>] [--downtime <T>]"
-               " [--transport inproc|json-tcp|binary-tcp]"
-               " [--engine heap|calendar]\n";
+               " [--transport inproc|json-tcp|binary-tcp]\n";
   return 2;
 }
 
@@ -326,16 +320,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       transport = *parsed;
-    } else if (flag == "--engine" && i + 1 < argc) {
-      const std::string engine = argv[++i];
-      if (engine == "heap") {
-        hypertune::g_engine = hypertune::SimEngine::kBinaryHeap;
-      } else if (engine == "calendar") {
-        hypertune::g_engine = hypertune::SimEngine::kCalendar;
-      } else {
-        std::cerr << "--engine wants heap or calendar\n";
-        return 2;
-      }
     } else {
       std::cerr << "unknown flag '" << flag << "'\n";
       return Usage();

@@ -3,8 +3,7 @@
 //   sweep_run --json <out> [--text <out>] [--tables-dir <dir>] [--threads N]
 //             [--tasks a,b] [--schedulers x,y] [--seeds 1,2,3] [--fleets 4,16]
 //             [--rows N] [--fidelities F] [--table-seed S] [--max-jobs J]
-//             [--time-limit T] [--budget FULL_TRAINS]
-//             [--engine calendar|heap] [--resamples B]
+//             [--time-limit T] [--budget FULL_TRAINS] [--resamples B]
 //
 // The default stop criterion is --budget 20: every cell gets virtual time
 // worth 20 average full trainings of its benchmark, the paper's equal-time
@@ -50,8 +49,8 @@ int Usage() {
       "                 [--threads N] [--tasks a,b] [--schedulers x,y]\n"
       "                 [--seeds 1,2,3] [--fleets 4,16] [--rows N]\n"
       "                 [--fidelities F] [--table-seed S] [--max-jobs J]\n"
-      "                 [--time-limit T] [--budget FULL_TRAINS]\n"
-      "                 [--engine calendar|heap] [--resamples B]\n");
+      "                 [--time-limit T] [--budget FULL_TRAINS]"
+      " [--resamples B]\n");
   return 2;
 }
 
@@ -125,15 +124,6 @@ int Main(int argc, char** argv) {
       spec.time_limit = std::stod(next());
     } else if (arg == "--budget") {
       spec.full_train_budget = std::stod(next());
-    } else if (arg == "--engine") {
-      const std::string engine = next();
-      if (engine == "calendar") {
-        spec.event_queue = SimEngine::kCalendar;
-      } else if (engine == "heap") {
-        spec.event_queue = SimEngine::kBinaryHeap;
-      } else {
-        return Usage();
-      }
     } else if (arg == "--resamples") {
       report_options.bootstrap_resamples = std::stoul(next());
     } else {
