@@ -21,13 +21,12 @@ int main() {
          "Table-1 architecture task)",
          {"25 workers, 150 minutes, 5 trials; eta=4, r=R/256"});
 
-  const std::vector<std::pair<std::string, SchedulerFactory>> methods{
-      {"ASHA (resume)", AshaFactory(4, 256, /*resume=*/true)},
-      {"ASHA (scratch)", AshaFactory(4, 256, /*resume=*/false)},
+  const std::vector<Method> methods{
+      {"ASHA (resume)", "asha", {.resume = true}},
+      {"ASHA (scratch)", "asha", {.resume = false}},
   };
-  const auto results = RunAndPrint(
-      [](std::uint64_t seed) { return benchmarks::CifarArch(seed); }, methods,
-      options, "minutes", "test error");
+  const auto results =
+      RunAndPrint("cifar_arch", methods, options, "minutes", "test error");
 
   std::cout << "\nJobs completed per run: resume "
             << FormatDouble(results[0].mean_jobs_completed, 0) << " vs scratch "

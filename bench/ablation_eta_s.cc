@@ -23,27 +23,16 @@ int main() {
          "architecture task)",
          {"25 workers, 150 minutes, 5 trials; r = R/256"});
 
-  std::vector<std::pair<std::string, SchedulerFactory>> methods;
+  std::vector<Method> methods;
   for (double eta : {2.0, 4.0}) {
     for (int s : {0, 1, 2}) {
-      const auto label =
-          "eta=" + FormatDouble(eta, 0) + ", s=" + std::to_string(s);
-      methods.emplace_back(
-          label, [eta, s](const SyntheticBenchmark& bench, std::uint64_t seed) {
-            AshaOptions asha;
-            asha.r = bench.R() / 256;
-            asha.R = bench.R();
-            asha.eta = eta;
-            asha.s = s;
-            asha.seed = seed;
-            return std::make_unique<AshaScheduler>(
-                MakeRandomSampler(bench.space()), asha);
-          });
+      methods.push_back(
+          {"eta=" + FormatDouble(eta, 0) + ", s=" + std::to_string(s), "asha",
+           {.eta = eta, .s = s}});
     }
   }
 
-  RunAndPrint([](std::uint64_t seed) { return benchmarks::CifarArch(seed); },
-              methods, options, "minutes", "test error");
+  RunAndPrint("cifar_arch", methods, options, "minutes", "test error");
   std::cout << "\nExpected: aggressive early stopping (s=0) reaches good "
                "configurations first;\nhigher s wastes budget training "
                "mediocre configurations longer.\n";

@@ -1,24 +1,13 @@
 // Shared helpers for the figure-reproduction bench binaries.
 #pragma once
 
-#include <functional>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/experiment.h"
 #include "analysis/report.h"
-#include "baselines/bohb.h"
-#include "baselines/fabolas.h"
-#include "baselines/pbt.h"
-#include "baselines/vizier.h"
 #include "common/table.h"
-#include "core/asha.h"
-#include "core/async_hyperband.h"
-#include "core/hyperband.h"
-#include "core/random_search.h"
-#include "core/sha.h"
 #include "surrogate/benchmarks.h"
 
 namespace hypertune::bench {
@@ -31,154 +20,23 @@ inline void Banner(const std::string& title,
   std::cout << "\n";
 }
 
-/// Runs each (name, factory) pair through RunExperiment and prints the
-/// series + summary tables; returns the results for extra reporting.
+/// Runs each method on the named benchmark through RunExperiment and prints
+/// the series + summary tables; returns the results for extra reporting.
 inline std::vector<MethodResult> RunAndPrint(
-    const BenchmarkFactory& make_benchmark,
-    const std::vector<std::pair<std::string, SchedulerFactory>>& methods,
+    const std::string& benchmark_name, const std::vector<Method>& methods,
     const ExperimentOptions& options, const std::string& time_label,
     const std::string& metric_label, int precision = 4) {
   std::vector<MethodResult> results;
-  for (const auto& [name, factory] : methods) {
-    std::cerr << "  running " << name << " (" << options.num_trials
+  for (const auto& method : methods) {
+    std::cerr << "  running " << method.label << " (" << options.num_trials
               << " trials)...\n";
-    results.push_back(RunExperiment(name, make_benchmark, factory, options));
+    results.push_back(RunExperiment(benchmark_name, method, options));
   }
   std::cout << SeriesTable(results, time_label, metric_label, precision)
                    .ToMarkdown()
             << "\n"
             << SummaryTable(results, metric_label, precision).ToMarkdown();
   return results;
-}
-
-// ---- paper-configured scheduler factories ------------------------------
-
-/// ASHA with the paper's settings (eta, s=0, r=R/divisor).
-inline SchedulerFactory AshaFactory(double eta, double r_divisor,
-                                    bool resume = true) {
-  return [=](const SyntheticBenchmark& bench, std::uint64_t seed) {
-    AshaOptions options;
-    options.r = bench.R() / r_divisor;
-    options.R = bench.R();
-    options.eta = eta;
-    options.seed = seed;
-    options.resume_from_checkpoint = resume && bench.spec().resumable;
-    return std::make_unique<AshaScheduler>(MakeRandomSampler(bench.space()),
-                                           options);
-  };
-}
-
-inline SchedulerFactory ShaFactory(std::size_t n, double eta,
-                                   double r_divisor, bool resume = true) {
-  return [=](const SyntheticBenchmark& bench, std::uint64_t seed) {
-    ShaOptions options;
-    options.n = n;
-    options.r = bench.R() / r_divisor;
-    options.R = bench.R();
-    options.eta = eta;
-    options.seed = seed;
-    options.resume_from_checkpoint = resume && bench.spec().resumable;
-    // Synchronous SHA's recommendation updates when a rung settles — not on
-    // every intermediate result (Section 3.3 / Appendix A.2's by-rung
-    // accounting, the stronger of the two synchronous policies).
-    options.incumbent_policy = IncumbentPolicy::kByRung;
-    return std::make_unique<SyncShaScheduler>(
-        MakeRandomSampler(bench.space()), options);
-  };
-}
-
-inline SchedulerFactory HyperbandFactory(std::size_t n0, double eta,
-                                         double r_divisor,
-                                         IncumbentPolicy policy) {
-  return [=](const SyntheticBenchmark& bench, std::uint64_t seed) {
-    HyperbandOptions options;
-    options.n0 = n0;
-    options.r = bench.R() / r_divisor;
-    options.R = bench.R();
-    options.eta = eta;
-    options.seed = seed;
-    options.incumbent_policy = policy;
-    options.resume_from_checkpoint = bench.spec().resumable;
-    return std::make_unique<HyperbandScheduler>(
-        MakeRandomSampler(bench.space()), options);
-  };
-}
-
-inline SchedulerFactory AsyncHyperbandFactory(std::size_t n0, double eta,
-                                              double r_divisor) {
-  return [=](const SyntheticBenchmark& bench, std::uint64_t seed) {
-    AsyncHyperbandOptions options;
-    options.n0 = n0;
-    options.r = bench.R() / r_divisor;
-    options.R = bench.R();
-    options.eta = eta;
-    options.seed = seed;
-    options.resume_from_checkpoint = bench.spec().resumable;
-    return std::make_unique<AsyncHyperbandScheduler>(
-        MakeRandomSampler(bench.space()), options);
-  };
-}
-
-inline SchedulerFactory RandomFactory() {
-  return [](const SyntheticBenchmark& bench, std::uint64_t seed) {
-    RandomSearchOptions options;
-    options.R = bench.R();
-    options.seed = seed;
-    return std::make_unique<RandomSearchScheduler>(
-        MakeRandomSampler(bench.space()), options);
-  };
-}
-
-inline SchedulerFactory BohbFactory(std::size_t n, double eta,
-                                    double r_divisor) {
-  return [=](const SyntheticBenchmark& bench, std::uint64_t seed) {
-    BohbOptions options;
-    options.sha.n = n;
-    options.sha.r = bench.R() / r_divisor;
-    options.sha.R = bench.R();
-    options.sha.eta = eta;
-    options.sha.seed = seed;
-    options.sha.resume_from_checkpoint = bench.spec().resumable;
-    options.sha.incumbent_policy = IncumbentPolicy::kByRung;
-    return std::unique_ptr<Scheduler>(MakeBohb(bench.space(), options));
-  };
-}
-
-/// PBT per Appendix A.3: population 25, explore/exploit every
-/// `step_divisor`-th of R, 2x-step sync window, frozen architecture params.
-inline SchedulerFactory PbtFactory(
-    std::size_t population, double step_divisor,
-    std::function<bool(std::string_view)> frozen = nullptr) {
-  return [=](const SyntheticBenchmark& bench, std::uint64_t seed) {
-    PbtOptions options;
-    options.population_size = population;
-    options.step_resource = bench.R() / step_divisor;
-    options.max_resource = bench.R();
-    options.sync_window = 2.0 * options.step_resource;
-    options.seed = seed;
-    options.random_guess_loss = bench.spec().random_guess_loss * 0.98;
-    options.explore.frozen = frozen;
-    return std::make_unique<PbtScheduler>(bench.space(), options);
-  };
-}
-
-inline SchedulerFactory VizierFactory(double loss_cap = 1e18) {
-  return [=](const SyntheticBenchmark& bench, std::uint64_t seed) {
-    VizierOptions options;
-    options.R = bench.R();
-    options.seed = seed;
-    options.loss_cap = loss_cap;
-    return std::make_unique<VizierScheduler>(bench.space(), options);
-  };
-}
-
-inline SchedulerFactory FabolasFactory() {
-  return [](const SyntheticBenchmark& bench, std::uint64_t seed) {
-    FabolasOptions options;
-    options.R = bench.R();
-    options.seed = seed;
-    return std::make_unique<FabolasScheduler>(bench.space(), options);
-  };
 }
 
 }  // namespace hypertune::bench

@@ -8,23 +8,9 @@
 #include <iostream>
 
 #include "bench_util.h"
-#include "registry/registry.h"
 
 using namespace hypertune;
 using namespace hypertune::bench;
-
-namespace {
-
-SchedulerFactory Registered(const std::string& name) {
-  return [name](const SyntheticBenchmark& bench, std::uint64_t seed) {
-    TunerParams params;
-    params.seed = seed;
-    params.step_divisor = 30;
-    return MakeTunerByName(name, bench, params);
-  };
-}
-
-}  // namespace
 
 int main() {
   ExperimentOptions options;
@@ -38,23 +24,21 @@ int main() {
          {"median_rule and lc_stop prune against cohort statistics / "
           "extrapolated curves;",
           "ASHA prunes by rank within rungs"});
-  RunAndPrint(
-      [](std::uint64_t seed) { return benchmarks::CifarConvnet(seed); },
-      {{"ASHA", Registered("asha")},
-       {"MedianRule", Registered("median_rule")},
-       {"LCStop", Registered("lc_stop")},
-       {"Random", Registered("random")}},
-      options, "minutes", "test error");
+  RunAndPrint("cifar_convnet",
+              {{"ASHA", "asha", {}},
+               {"MedianRule", "median_rule", {}},
+               {"LCStop", "lc_stop", {}},
+               {"Random", "random", {}}},
+              options, "minutes", "test error");
 
   Banner("Extension: quasi-random (Halton) sampling",
          {"same budgets; Halton spreads the bottom rung more evenly"});
-  RunAndPrint(
-      [](std::uint64_t seed) { return benchmarks::CifarConvnet(seed); },
-      {{"Random search", Registered("random")},
-       {"Halton search", Registered("halton")},
-       {"ASHA", Registered("asha")},
-       {"ASHA+Halton", Registered("asha_halton")}},
-      options, "minutes", "test error");
+  RunAndPrint("cifar_convnet",
+              {{"Random search", "random", {}},
+               {"Halton search", "halton", {}},
+               {"ASHA", "asha", {}},
+               {"ASHA+Halton", "asha_halton", {}}},
+              options, "minutes", "test error");
 
   return 0;
 }

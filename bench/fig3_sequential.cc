@@ -5,11 +5,11 @@
 //
 // Paper settings (Appendix A.3): n=256, eta=4, s=0, r=R/256, R=30000 SGD
 // iterations; Hyperband loops 5 brackets; PBT population 25 with
-// explore/exploit every 1000 iterations.
+// explore/exploit every 1000 iterations, architecture parameters frozen.
+// These are the registry's TunerParams defaults.
 #include <iostream>
 
 #include "bench_util.h"
-#include "searchspace/spaces.h"
 
 using namespace hypertune;
 using namespace hypertune::bench;
@@ -21,31 +21,24 @@ int main() {
   options.time_limit = 2500;  // minutes
   options.grid_points = 25;
 
-  const std::vector<std::pair<std::string, SchedulerFactory>> methods{
-      {"SHA", ShaFactory(256, 4, 256)},
-      {"Hyperband",
-       HyperbandFactory(256, 4, 256, IncumbentPolicy::kIntermediate)},
-      {"Random", RandomFactory()},
-      {"PBT", PbtFactory(25, 30)},
-      {"ASHA", AshaFactory(4, 256)},
-      {"Hyperband (async)", AsyncHyperbandFactory(256, 4, 256)},
-      {"BOHB", BohbFactory(256, 4, 256)},
+  const std::vector<Method> methods{
+      {"SHA", "sha", {}},
+      {"Hyperband", "hyperband_intermediate", {}},
+      {"Random", "random", {}},
+      {"PBT", "pbt", {}},
+      {"ASHA", "asha", {}},
+      {"Hyperband (async)", "async_hyperband", {}},
+      {"BOHB", "bohb", {}},
   };
 
   Banner("Figure 3 (left): CIFAR-10, small cuda-convnet model — sequential",
          {"1 worker, 2500 minutes, 10 trials; n=256, eta=4, s=0, r=R/256"});
-  RunAndPrint([](std::uint64_t seed) { return benchmarks::CifarConvnet(seed); },
-              methods, options, "minutes", "test error");
-
-  // PBT freezes architecture parameters on this task (Appendix A.3).
-  auto arch_methods = methods;
-  arch_methods[3] = {"PBT", PbtFactory(25, 30, spaces::IsSmallCnnArchParam)};
+  RunAndPrint("cifar_convnet", methods, options, "minutes", "test error");
 
   Banner("Figure 3 (right): CIFAR-10, small CNN architecture tuning task — "
          "sequential",
          {"1 worker, 2500 minutes, 10 trials; n=256, eta=4, s=0, r=R/256"});
-  RunAndPrint([](std::uint64_t seed) { return benchmarks::CifarArch(seed); },
-              arch_methods, options, "minutes", "test error");
+  RunAndPrint("cifar_arch", methods, options, "minutes", "test error");
 
   std::cout << "\nPaper check: all SHA variants and Hyperband beat PBT on "
                "benchmark 1 and beat Random\non both; asynchrony does not "

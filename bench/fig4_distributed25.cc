@@ -8,7 +8,6 @@
 
 #include "bench_util.h"
 #include "common/stats.h"
-#include "searchspace/spaces.h"
 
 using namespace hypertune;
 using namespace hypertune::bench;
@@ -36,33 +35,28 @@ int main() {
   options.time_limit = 150;  // minutes
   options.grid_points = 15;
 
-  const std::vector<std::pair<std::string, SchedulerFactory>> methods{
-      {"ASHA", AshaFactory(4, 256)},
-      {"PBT", PbtFactory(25, 30)},
-      {"SHA", ShaFactory(256, 4, 256)},
-      {"BOHB", BohbFactory(256, 4, 256)},
+  // PBT freezes the architecture parameters of the right-hand task
+  // (Appendix A.3).
+  const std::vector<Method> methods{
+      {"ASHA", "asha", {}},
+      {"PBT", "pbt", {}},
+      {"SHA", "sha", {}},
+      {"BOHB", "bohb", {}},
   };
 
   Banner("Figure 4 (left): CIFAR-10, small cuda-convnet model — 25 workers",
          {"25 workers, 150 minutes, 5 trials"});
   ReferenceLines(*benchmarks::CifarConvnet(1));
-  RunAndPrint([](std::uint64_t seed) { return benchmarks::CifarConvnet(seed); },
-              methods, options, "minutes", "test error");
-
-  auto arch_methods = methods;
-  arch_methods[1] = {"PBT", PbtFactory(25, 30, spaces::IsSmallCnnArchParam)};
+  RunAndPrint("cifar_convnet", methods, options, "minutes", "test error");
 
   Banner("Figure 4 (right): CIFAR-10, small CNN architecture task — 25 "
          "workers",
          {"25 workers, 150 minutes, 5 trials; high training-time variance"});
   ReferenceLines(*benchmarks::CifarArch(1));
-  const auto results = RunAndPrint(
-      [](std::uint64_t seed) { return benchmarks::CifarArch(seed); },
-      arch_methods, options, "minutes", "test error");
+  RunAndPrint("cifar_arch", methods, options, "minutes", "test error");
 
   std::cout << "\nPaper check: ASHA finds a good configuration ~1.5x faster "
                "than SHA/BOHB on benchmark 1\nand much faster on benchmark 2 "
                "(training-time variance makes synchronous rungs straggle).\n";
-  (void)results;
   return 0;
 }

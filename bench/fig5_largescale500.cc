@@ -26,18 +26,17 @@ int main() {
 
   // Async Hyperband loops brackets s = 0..3 (r spans R/64 .. R) — n0 sized
   // so bracket budgets match a hypothetical n=256-ish SHA run.
-  const std::vector<std::pair<std::string, SchedulerFactory>> methods{
-      {"ASHA", AshaFactory(4, 64)},
-      {"Hyperband (async)", AsyncHyperbandFactory(256, 4, 64)},
-      {"Vizier", VizierFactory()},
+  const std::vector<Method> methods{
+      {"ASHA", "asha", {.r_divisor = 64}},
+      {"Hyperband (async)", "async_hyperband", {.r_divisor = 64}},
+      {"Vizier", "vizier", {}},
   };
 
   Banner("Figure 5: LSTM on PTB — 500 workers, 6 x time(R)",
          {"eta=4, r=R/64, s=0; 5 trials; x-axis in units of time(R) = " +
           FormatDouble(time_r, 3)});
-  auto results = RunAndPrint(
-      [](std::uint64_t seed) { return benchmarks::PtbLstm(seed); }, methods,
-      options, "virtual time", "perplexity", 2);
+  auto results = RunAndPrint("ptb_lstm", methods, options, "virtual time",
+                             "perplexity", 2);
 
   // Rescale the time axis into units of time(R) for the headline table.
   std::cout << "\nTime to reach perplexity 80 (in units of time(R)):\n";

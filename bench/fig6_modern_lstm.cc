@@ -19,18 +19,18 @@ int main() {
   options.time_limit = 1400;  // minutes
   options.grid_points = 14;
 
-  const std::vector<std::pair<std::string, SchedulerFactory>> methods{
-      {"PBT", PbtFactory(20, 32)},      // 256 epochs / 8-epoch steps
-      {"ASHA", AshaFactory(4, 256)},    // r = 1 epoch
+  const std::vector<Method> methods{
+      // 256 epochs / 8-epoch steps
+      {"PBT", "pbt", {.population = 20, .step_divisor = 32}},
+      {"ASHA", "asha", {}},  // r = 1 epoch
   };
 
   Banner("Figure 6: AWD-LSTM with DropConnect on PTB — 16 workers",
          {"ASHA: eta=4, r=1 epoch, R=256 epochs; PBT: population 20, "
           "explore/exploit every 8 epochs",
           "5 trials, 1400 minutes"});
-  const auto results = RunAndPrint(
-      [](std::uint64_t seed) { return benchmarks::AwdLstm(seed); }, methods,
-      options, "minutes", "validation perplexity", 2);
+  const auto results = RunAndPrint("awd_lstm", methods, options, "minutes",
+                                   "validation perplexity", 2);
 
   // Report the end-of-run min/max overlap the paper highlights.
   const auto& pbt = results[0].series;

@@ -8,6 +8,7 @@
 
 #include "bench_util.h"
 #include "common/stats.h"
+#include "registry/registry.h"
 #include "sim/driver.h"
 
 using namespace hypertune;
@@ -19,18 +20,13 @@ constexpr int kWorkers = 25;
 constexpr double kHorizon = 2000;
 constexpr int kSims = 25;
 
-double MeanFullCompletions(bool asha, double straggler_std,
+double MeanFullCompletions(const std::string& tuner, double straggler_std,
                            double drop_probability) {
   std::vector<double> counts;
   for (int sim = 0; sim < kSims; ++sim) {
     const auto seed = static_cast<std::uint64_t>(sim) * 101 + 7;
     auto bench = benchmarks::UnitTime(seed);
-    std::unique_ptr<Scheduler> scheduler;
-    if (asha) {
-      scheduler = AshaFactory(4, 256)(*bench, seed);
-    } else {
-      scheduler = ShaFactory(256, 4, 256)(*bench, seed);
-    }
+    auto scheduler = MakeTunerByName(tuner, *bench, {.seed = seed});
     DriverOptions options;
     options.num_workers = kWorkers;
     options.time_limit = kHorizon;
@@ -58,15 +54,15 @@ int main() {
   const std::vector<double> stds{0.10, 0.24, 0.56, 1.33};
   const std::vector<double> drops{0.0, 0.0025, 0.005, 0.0075, 0.01};
 
-  for (const char* method : {"ASHA", "SHA"}) {
-    const bool asha = std::string(method) == "ASHA";
+  for (const auto& [method, tuner] :
+       {std::pair{"ASHA", "asha"}, std::pair{"SHA", "sha"}}) {
     std::vector<std::string> header{"std \\ drop p"};
     for (double p : drops) header.push_back(FormatDouble(p, 4));
     TextTable table(header);
     for (double std_dev : stds) {
       std::vector<std::string> row{FormatDouble(std_dev, 2)};
       for (double p : drops) {
-        row.push_back(FormatDouble(MeanFullCompletions(asha, std_dev, p), 1));
+        row.push_back(FormatDouble(MeanFullCompletions(tuner, std_dev, p), 1));
       }
       table.AddRow(std::move(row));
       std::cerr << "  " << method << " std=" << std_dev << " done\n";

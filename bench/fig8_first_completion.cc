@@ -8,6 +8,7 @@
 
 #include "bench_util.h"
 #include "common/stats.h"
+#include "registry/registry.h"
 #include "sim/driver.h"
 
 using namespace hypertune;
@@ -19,18 +20,13 @@ constexpr int kWorkers = 25;
 constexpr double kHorizon = 2000;
 constexpr int kSims = 25;
 
-double MeanFirstCompletion(bool asha, double straggler_std,
+double MeanFirstCompletion(const std::string& tuner, double straggler_std,
                            double drop_probability) {
   std::vector<double> times;
   for (int sim = 0; sim < kSims; ++sim) {
     const auto seed = static_cast<std::uint64_t>(sim) * 137 + 11;
     auto bench = benchmarks::UnitTime(seed);
-    std::unique_ptr<Scheduler> scheduler;
-    if (asha) {
-      scheduler = AshaFactory(4, 256)(*bench, seed);
-    } else {
-      scheduler = ShaFactory(256, 4, 256)(*bench, seed);
-    }
+    auto scheduler = MakeTunerByName(tuner, *bench, {.seed = seed});
     DriverOptions options;
     options.num_workers = kWorkers;
     options.time_limit = kHorizon;
@@ -61,15 +57,15 @@ int main() {
   const std::vector<double> stds{0.0, 0.33, 0.67, 1.0, 1.33, 1.67};
   const std::vector<double> drops{0.0, 0.001, 0.002, 0.003};
 
-  for (const char* method : {"ASHA", "SHA"}) {
-    const bool asha = std::string(method) == "ASHA";
+  for (const auto& [method, tuner] :
+       {std::pair{"ASHA", "asha"}, std::pair{"SHA", "sha"}}) {
     std::vector<std::string> header{"std \\ drop p"};
     for (double p : drops) header.push_back(FormatDouble(p, 3));
     TextTable table(header);
     for (double std_dev : stds) {
       std::vector<std::string> row{FormatDouble(std_dev, 2)};
       for (double p : drops) {
-        row.push_back(FormatDouble(MeanFirstCompletion(asha, std_dev, p), 0));
+        row.push_back(FormatDouble(MeanFirstCompletion(tuner, std_dev, p), 0));
       }
       table.AddRow(std::move(row));
       std::cerr << "  " << method << " std=" << std_dev << " done\n";

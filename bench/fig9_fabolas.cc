@@ -18,31 +18,24 @@ using namespace hypertune::bench;
 namespace {
 
 void RunTask(const std::string& title, const std::string& benchmark_name,
-             double horizon_minutes, int n0, double r_divisor) {
+             double horizon_minutes, std::size_t n0, double r_divisor) {
   ExperimentOptions options;
   options.num_trials = 10;
   options.num_workers = 1;
   options.time_limit = horizon_minutes;
   options.grid_points = 16;
 
-  const std::vector<std::pair<std::string, SchedulerFactory>> methods{
-      {"Hyperband (by rung)",
-       HyperbandFactory(static_cast<std::size_t>(n0), 4, r_divisor,
-                        IncumbentPolicy::kByRung)},
-      {"Hyperband (by bracket)",
-       HyperbandFactory(static_cast<std::size_t>(n0), 4, r_divisor,
-                        IncumbentPolicy::kByBracket)},
-      {"Fabolas", FabolasFactory()},
-      {"Random", RandomFactory()},
+  const TunerParams hyperband{.r_divisor = r_divisor, .n = n0};
+  const std::vector<Method> methods{
+      {"Hyperband (by rung)", "hyperband", hyperband},
+      {"Hyperband (by bracket)", "hyperband_by_bracket", hyperband},
+      {"Fabolas", "fabolas", {}},
+      {"Random", "random", {}},
   };
 
   Banner(title, {"1 worker, " + FormatDouble(horizon_minutes, 0) +
                      " minutes, 10 trials, eta=4"});
-  RunAndPrint(
-      [benchmark_name](std::uint64_t seed) {
-        return benchmarks::ByName(benchmark_name, seed);
-      },
-      methods, options, "minutes", "test error");
+  RunAndPrint(benchmark_name, methods, options, "minutes", "test error");
 }
 
 }  // namespace

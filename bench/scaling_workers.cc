@@ -30,10 +30,8 @@ int main() {
     // Long horizon for the single worker; shorter as workers grow.
     options.time_limit = workers == 1 ? 3000 : 3000.0 / workers * 8;
     options.grid_points = 40;
-    const auto result = RunExperiment(
-        "ASHA",
-        [](std::uint64_t seed) { return benchmarks::CifarArch(seed); },
-        AshaFactory(4, 256), options);
+    const auto result =
+        RunExperiment("cifar_arch", {"ASHA", "asha", {}}, options);
     const double t = MeanTimeToReach(result.trajectories, kTargetError);
     if (workers == 1) t1 = t;
     table.AddRow({std::to_string(workers),

@@ -3,23 +3,25 @@
 #include <chrono>
 
 #include "common/check.h"
+#include "surrogate/benchmarks.h"
 #include "telemetry/telemetry.h"
 
 namespace hypertune {
 
-MethodResult RunExperiment(const std::string& method_name,
-                           const BenchmarkFactory& make_benchmark,
-                           const SchedulerFactory& make_scheduler,
+MethodResult RunExperiment(const std::string& benchmark_name,
+                           const Method& method,
                            const ExperimentOptions& options) {
   HT_CHECK(options.num_trials > 0);
   MethodResult result;
-  result.method = method_name;
+  result.method = method.label;
+  TunerParams params = method.params;
 
   for (int trial = 0; trial < options.num_trials; ++trial) {
     const std::uint64_t seed =
         options.base_seed + static_cast<std::uint64_t>(trial) * 7919;
-    auto benchmark = make_benchmark(seed);
-    auto scheduler = make_scheduler(*benchmark, seed);
+    auto benchmark = benchmarks::ByName(benchmark_name, seed);
+    params.seed = seed;
+    auto scheduler = MakeTunerByName(method.tuner, *benchmark, params);
 
     DriverOptions driver_options;
     driver_options.num_workers = options.num_workers;

@@ -1,29 +1,26 @@
-// The experiment runner behind every bench binary: runs a tuner on a
-// surrogate benchmark for several trials, returns aggregated trajectories
-// plus bookkeeping statistics.
+// The experiment runner behind every bench binary: runs a registry tuner on
+// a named surrogate benchmark for several trials, returns aggregated
+// trajectories plus bookkeeping statistics.
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/aggregate.h"
-#include "core/scheduler.h"
+#include "registry/registry.h"
 #include "sim/driver.h"
-#include "surrogate/benchmark.h"
 
 namespace hypertune {
 
 class Telemetry;
 
-/// Builds the benchmark instance for one experiment trial.
-using BenchmarkFactory =
-    std::function<std::unique_ptr<SyntheticBenchmark>(std::uint64_t trial_seed)>;
-
-/// Builds the tuner for one trial; `benchmark` supplies the space and R.
-using SchedulerFactory = std::function<std::unique_ptr<Scheduler>(
-    const SyntheticBenchmark& benchmark, std::uint64_t trial_seed)>;
+/// One compared method: a display label plus a registry tuner name and its
+/// parameters. Each trial overrides `params.seed` with its own seed.
+struct Method {
+  std::string label;
+  std::string tuner;
+  TunerParams params;
+};
 
 struct ExperimentOptions {
   int num_trials = 5;
@@ -62,10 +59,11 @@ struct MethodResult {
   double model_fit_share = 0;
 };
 
-/// Runs `num_trials` independent tuning runs and aggregates them.
-MethodResult RunExperiment(const std::string& method_name,
-                           const BenchmarkFactory& make_benchmark,
-                           const SchedulerFactory& make_scheduler,
+/// Runs `num_trials` independent tuning runs of `method` on the benchmark
+/// `benchmarks::ByName(benchmark_name, trial_seed)` builds, and aggregates
+/// them. Throws CheckError for an unknown benchmark or tuner name.
+MethodResult RunExperiment(const std::string& benchmark_name,
+                           const Method& method,
                            const ExperimentOptions& options);
 
 }  // namespace hypertune

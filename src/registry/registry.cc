@@ -14,14 +14,44 @@
 #include "core/hyperband.h"
 #include "core/random_search.h"
 #include "core/sha.h"
+#include "searchspace/spaces.h"
 
 namespace hypertune {
 
+namespace {
+
+/// Incumbent policy named by a synchronous tuner's suffix: none counts by
+/// rung (the stronger synchronous policy), `_intermediate` and
+/// `_by_bracket` select the other two Appendix A.2 accountings.
+IncumbentPolicy PolicyFor(const std::string& name) {
+  if (name.ends_with("_intermediate")) return IncumbentPolicy::kIntermediate;
+  if (name.ends_with("_by_bracket")) return IncumbentPolicy::kByBracket;
+  return IncumbentPolicy::kByRung;
+}
+
+}  // namespace
+
 std::vector<std::string> TunerNames() {
-  return {"asha",   "asha_tpe",  "asha_halton", "sha",     "hyperband",
-          "hyperband_by_bracket", "async_hyperband",
-          "random", "halton",    "grid",        "bohb",    "pbt",
-          "vizier", "vizier_capped",            "fabolas", "median_rule",
+  return {"asha",
+          "asha_tpe",
+          "asha_halton",
+          "asha_infinite",
+          "sha",
+          "sha_intermediate",
+          "sha_by_bracket",
+          "hyperband",
+          "hyperband_intermediate",
+          "hyperband_by_bracket",
+          "async_hyperband",
+          "random",
+          "halton",
+          "grid",
+          "bohb",
+          "pbt",
+          "vizier",
+          "vizier_capped",
+          "fabolas",
+          "median_rule",
           "lc_stop"};
 }
 
@@ -45,7 +75,8 @@ std::unique_ptr<Scheduler> MakeTuner(const std::string& name,
   const bool resume = params.resume && env.resumable;
   const SearchSpace& space = *env.space;
 
-  if (name == "asha" || name == "asha_tpe" || name == "asha_halton") {
+  if (name == "asha" || name == "asha_tpe" || name == "asha_halton" ||
+      name == "asha_infinite") {
     AshaOptions options;
     options.r = r;
     options.R = R;
@@ -53,6 +84,7 @@ std::unique_ptr<Scheduler> MakeTuner(const std::string& name,
     options.s = params.s;
     options.seed = params.seed;
     options.resume_from_checkpoint = resume;
+    options.infinite_horizon = name == "asha_infinite";
     if (name == "asha_tpe") return MakeAshaTpe(space, options, TpeOptions{});
     if (name == "asha_halton") {
       options.display_name = "ASHA+Halton";
@@ -61,7 +93,8 @@ std::unique_ptr<Scheduler> MakeTuner(const std::string& name,
     }
     return std::make_unique<AshaScheduler>(MakeRandomSampler(space), options);
   }
-  if (name == "sha") {
+  if (name == "sha" || name == "sha_intermediate" ||
+      name == "sha_by_bracket") {
     ShaOptions options;
     options.n = params.n;
     options.r = r;
@@ -70,11 +103,12 @@ std::unique_ptr<Scheduler> MakeTuner(const std::string& name,
     options.s = params.s;
     options.seed = params.seed;
     options.resume_from_checkpoint = resume;
-    options.incumbent_policy = IncumbentPolicy::kByRung;
+    options.incumbent_policy = PolicyFor(name);
     return std::make_unique<SyncShaScheduler>(MakeRandomSampler(space),
                                               options);
   }
-  if (name == "hyperband" || name == "hyperband_by_bracket") {
+  if (name == "hyperband" || name == "hyperband_intermediate" ||
+      name == "hyperband_by_bracket") {
     HyperbandOptions options;
     options.n0 = params.n;
     options.r = r;
@@ -82,9 +116,7 @@ std::unique_ptr<Scheduler> MakeTuner(const std::string& name,
     options.eta = params.eta;
     options.seed = params.seed;
     options.resume_from_checkpoint = resume;
-    options.incumbent_policy = name == "hyperband"
-                                   ? IncumbentPolicy::kByRung
-                                   : IncumbentPolicy::kByBracket;
+    options.incumbent_policy = PolicyFor(name);
     return std::make_unique<HyperbandScheduler>(MakeRandomSampler(space),
                                                 options);
   }
@@ -136,6 +168,10 @@ std::unique_ptr<Scheduler> MakeTuner(const std::string& name,
     options.sync_window = 2.0 * options.step_resource;
     options.seed = params.seed;
     options.random_guess_loss = env.random_guess_loss * 0.98;
+    // Vanilla PBT cannot mutate the architecture: inherited weights would
+    // no longer fit it (Appendix A.3). Spaces without these names are
+    // unaffected.
+    options.explore.frozen = spaces::IsSmallCnnArchParam;
     return std::make_unique<PbtScheduler>(space, options);
   }
   if (name == "vizier" || name == "vizier_capped") {

@@ -1,7 +1,7 @@
 // Name-based tuner registry: builds any of the library's schedulers from a
 // string name plus a small common parameter set, sized against a benchmark.
-// Used by the CLI and by downstream code that selects tuners from config
-// files rather than code.
+// The one way the benches, the experiment runner, the sweep engine and the
+// CLI build a tuner.
 #pragma once
 
 #include <memory>
@@ -34,9 +34,15 @@ struct TunerParams {
   bool resume = true;
 };
 
-/// Known names: asha, asha_tpe, sha, hyperband, hyperband_by_bracket,
-/// async_hyperband, random, grid, bohb, pbt, vizier, vizier_capped,
-/// fabolas, median_rule.
+/// Known names: asha, asha_tpe, asha_halton, asha_infinite, sha,
+/// sha_intermediate, sha_by_bracket, hyperband, hyperband_intermediate,
+/// hyperband_by_bracket, async_hyperband, random, halton, grid, bohb, pbt,
+/// vizier, vizier_capped, fabolas, median_rule, lc_stop.
+///
+/// A suffix names a variant: `_intermediate` / `_by_bracket` set the
+/// incumbent policy (plain `sha` and `hyperband` count by rung, Appendix
+/// A.2), `asha_infinite` never caps promotions at R (Section 3.3). `pbt`
+/// always freezes the Table 1 architecture parameters (Appendix A.3).
 std::vector<std::string> TunerNames();
 
 /// What tuner construction actually reads off a benchmark, supplied

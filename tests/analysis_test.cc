@@ -7,8 +7,6 @@
 #include "analysis/report.h"
 #include "analysis/trajectory.h"
 #include "common/check.h"
-#include "core/asha.h"
-#include "core/random_search.h"
 #include "surrogate/benchmarks.h"
 
 namespace hypertune {
@@ -89,19 +87,9 @@ TEST(Experiment, RunsAndAggregates) {
   options.num_workers = 2;
   options.time_limit = 2000;
   options.grid_points = 8;
+  // r = R/256 = 1 on the unit-time task.
   const auto result = RunExperiment(
-      "ASHA",
-      [](std::uint64_t seed) { return benchmarks::UnitTime(seed); },
-      [](const SyntheticBenchmark& bench, std::uint64_t seed) {
-        AshaOptions asha;
-        asha.r = 1;
-        asha.R = bench.R();
-        asha.eta = 4;
-        asha.seed = seed;
-        return std::make_unique<AshaScheduler>(
-            MakeRandomSampler(bench.space()), asha);
-      },
-      options);
+      "unit_time", {"ASHA", "asha", {.eta = 4, .r_divisor = 256}}, options);
   EXPECT_EQ(result.method, "ASHA");
   EXPECT_EQ(result.trajectories.size(), 3u);
   EXPECT_EQ(result.series.times.size(), 8u);
@@ -117,17 +105,7 @@ TEST(Experiment, DeterministicAcrossCalls) {
   options.num_trials = 2;
   options.time_limit = 500;
   auto run = [&] {
-    return RunExperiment(
-        "Random",
-        [](std::uint64_t seed) { return benchmarks::UnitTime(seed); },
-        [](const SyntheticBenchmark& bench, std::uint64_t seed) {
-          RandomSearchOptions rs;
-          rs.R = bench.R();
-          rs.seed = seed;
-          return std::make_unique<RandomSearchScheduler>(
-              MakeRandomSampler(bench.space()), rs);
-        },
-        options);
+    return RunExperiment("unit_time", {"Random", "random", {}}, options);
   };
   const auto a = run();
   const auto b = run();

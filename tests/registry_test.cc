@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <utility>
+
 #include "common/check.h"
 #include "sim/driver.h"
 #include "surrogate/benchmarks.h"
@@ -70,6 +74,95 @@ TEST(Registry, NonResumableBenchmarkDisablesResume) {
   ASSERT_TRUE(promotion.has_value());
   EXPECT_GT(promotion->rung, 0);
   EXPECT_DOUBLE_EQ(promotion->from_resource, 0);  // full retrain
+}
+
+TEST(Registry, PbtNeverMutatesTheArchitecture) {
+  auto bench = benchmarks::CifarArch(3);
+  TunerParams params;
+  params.population = 8;
+  auto tuner = MakeTunerByName("pbt", *bench, params);
+  for (int i = 0; i < 2000; ++i) {
+    const auto job = tuner->GetJob();
+    ASSERT_TRUE(job.has_value());
+    // Distinct losses below random guessing: every step ranks the
+    // population, and no initial draw is resampled.
+    tuner->ReportResult(
+        *job, 0.1 + 0.01 * static_cast<double>(job->trial_id % 17));
+  }
+  // A population's first `population` trials are its initial draws; every
+  // later trial is an exploit/explore copy and must keep a donor's
+  // architecture.
+  using Arch = std::pair<std::int64_t, std::int64_t>;
+  std::map<int, std::set<Arch>> initial;
+  std::map<int, std::size_t> created;
+  std::size_t explored = 0;
+  for (const Trial& trial : tuner->trials()) {
+    const Arch arch{trial.config.GetInt("num_layers"),
+                    trial.config.GetInt("num_filters")};
+    if (created[trial.bracket]++ < params.population) {
+      initial[trial.bracket].insert(arch);
+      continue;
+    }
+    ++explored;
+    EXPECT_TRUE(initial[trial.bracket].contains(arch))
+        << "trial " << trial.id << " has (" << arch.first << ", "
+        << arch.second << ")";
+  }
+  EXPECT_GT(explored, 50u);
+}
+
+TEST(Registry, IntermediateVariantsRecommendAfterOneReport) {
+  auto bench = benchmarks::UnitTime(1);
+  TunerParams params;
+  params.n = 16;
+  params.r_divisor = 16;
+  for (const std::string name : {"sha_intermediate", "hyperband_intermediate",
+                                 "sha", "sha_by_bracket"}) {
+    auto tuner = MakeTunerByName(name, *bench, params);
+    const auto job = tuner->GetJob();
+    ASSERT_TRUE(job.has_value()) << name;
+    ASSERT_EQ(job->rung, 0) << name;
+    tuner->ReportResult(*job, 0.5);
+    EXPECT_EQ(tuner->Current().has_value(),
+              name.ends_with("_intermediate"))
+        << name;
+  }
+}
+
+TEST(Registry, ByBracketShaWaitsPastACompletedRung) {
+  auto bench = benchmarks::UnitTime(1);
+  TunerParams params;
+  params.n = 16;
+  params.r_divisor = 16;
+  for (const std::string name : {"sha", "sha_by_bracket"}) {
+    auto tuner = MakeTunerByName(name, *bench, params);
+    std::vector<Job> rung0;
+    for (int i = 0; i < 16; ++i) rung0.push_back(*tuner->GetJob());
+    for (const Job& job : rung0) {
+      ASSERT_EQ(job.rung, 0) << name;
+      ASSERT_EQ(job.bracket, rung0.front().bracket) << name;
+      tuner->ReportResult(job, 0.01 * static_cast<double>(job.trial_id));
+    }
+    EXPECT_EQ(tuner->Current().has_value(), name == "sha") << name;
+  }
+}
+
+TEST(Registry, InfiniteHorizonAshaPromotesPastR) {
+  auto bench = benchmarks::UnitTime(1);
+  TunerParams params;
+  params.r_divisor = 4;  // rungs at 64, 256 = R, 1024, ...
+  for (const std::string name : {"asha", "asha_infinite"}) {
+    auto tuner = MakeTunerByName(name, *bench, params);
+    double furthest = 0;
+    for (int i = 0; i < 200; ++i) {
+      const auto job = tuner->GetJob();
+      if (!job.has_value()) break;
+      furthest = std::max(furthest, job->to_resource);
+      tuner->ReportResult(*job, 1.0 / static_cast<double>(2 + job->trial_id));
+    }
+    EXPECT_EQ(furthest > bench->R(), name == "asha_infinite")
+        << name << " reached " << furthest;
+  }
 }
 
 }  // namespace

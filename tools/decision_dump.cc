@@ -35,7 +35,7 @@
 // three variants can be diffed byte-for-byte — the wire layer's
 // decision-invariance proof.
 //
-// Usage: decision_dump <asha|sha|hyperband> <seed> <workers>
+// Usage: decision_dump <asha|sha|hyperband|random> <seed> <workers>
 //                      [--hazards <straggler_std>,<drop_prob>]
 //                      [--decisions-only]
 //                      [--crash-at <K> --state-dir <dir>] [--downtime <T>]
@@ -271,7 +271,8 @@ bool DumpHazardRuns(const std::string& kind, std::uint64_t seed, int workers,
 namespace {
 
 int Usage() {
-  std::cerr << "usage: decision_dump <asha|sha|hyperband> <seed> <workers>"
+  std::cerr << "usage: decision_dump <asha|sha|hyperband|random> <seed>"
+               " <workers>"
                " [--hazards <straggler_std>,<drop_prob>]"
                " [--decisions-only]"
                " [--crash-at <K> --state-dir <dir>] [--downtime <T>]"

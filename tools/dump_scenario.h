@@ -24,9 +24,6 @@
 #include <vector>
 
 #include "common/check.h"
-#include "core/asha.h"
-#include "core/async_hyperband.h"
-#include "core/sha.h"
 #include "durability/durable_server.h"
 #include "fault/fault.h"
 #include "fault/fault_fs.h"
@@ -36,6 +33,7 @@
 #include "service/server.h"
 #include "service/worker.h"
 #include "sim/environment.h"
+#include "study/study_manager.h"
 
 namespace hypertune {
 
@@ -62,40 +60,16 @@ class DumpEnv final : public JobEnvironment {
   }
 };
 
+/// The scheduler a decision-identity run uses: the stock study factory's
+/// `{"kind": kind, "seed": seed}` over DumpSpace(), so the dumps, the chaos
+/// harness and a served study build byte-identical schedulers. The factory
+/// knows asha, sha, hyperband and random; any other kind gives null.
 inline std::unique_ptr<Scheduler> MakeDumpScheduler(const std::string& kind,
                                                     std::uint64_t seed) {
-  if (kind == "asha") {
-    AshaOptions options;
-    options.r = 1;
-    options.R = 81;
-    options.eta = 3;
-    options.max_trials = 300;
-    options.seed = seed;
-    return std::make_unique<AshaScheduler>(MakeRandomSampler(DumpSpace()),
-                                           options);
-  }
-  if (kind == "sha") {
-    ShaOptions options;
-    options.n = 81;
-    options.r = 1;
-    options.R = 81;
-    options.eta = 3;
-    options.spawn_new_brackets = false;
-    options.seed = seed;
-    return std::make_unique<SyncShaScheduler>(MakeRandomSampler(DumpSpace()),
-                                              options);
-  }
-  if (kind == "hyperband") {
-    AsyncHyperbandOptions options;
-    options.n0 = 81;
-    options.r = 1;
-    options.R = 81;
-    options.eta = 3;
-    options.seed = seed;
-    return std::make_unique<AsyncHyperbandScheduler>(
-        MakeRandomSampler(DumpSpace()), options);
-  }
-  return nullptr;
+  Json config = JsonObject{};
+  config.Set("kind", Json(kind));
+  config.Set("seed", Json(seed));
+  return MakeStudySchedulerFactory(DumpSpace())(config);
 }
 
 /// Crash/restart plan for RunServiceDecisions.

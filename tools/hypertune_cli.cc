@@ -428,17 +428,8 @@ int main(int argc, char** argv) {
       const std::string tuner = remaining.substr(0, comma);
       remaining = comma == std::string::npos ? "" : remaining.substr(comma + 1);
 
-      results.push_back(RunExperiment(
-          tuner,
-          [&](std::uint64_t seed) {
-            return benchmarks::ByName(benchmark_name, seed);
-          },
-          [&](const SyntheticBenchmark& bench, std::uint64_t seed) {
-            TunerParams seeded = params;
-            seeded.seed = seed;
-            return MakeTunerByName(tuner, bench, seeded);
-          },
-          options));
+      results.push_back(
+          RunExperiment(benchmark_name, {tuner, tuner, params}, options));
     }
 
     const std::string metric = probe->spec().metric_name;
