@@ -11,7 +11,10 @@
 // the other way round; engine choices are made on perfbench, not here.
 //
 //   BM_SimJobThroughput/<workers>            untraced event loop
-//   BM_SimJobThroughputTraced/<workers>      plus batched telemetry
+//   BM_SimJobThroughputTraced/<workers>      plus a virtual-clock telemetry
+//                                            sink: one span and one counter
+//                                            bump per job, recorded as the
+//                                            job resolves
 //   BM_TableLookup                           raw Loss+Duration lookups
 #include <benchmark/benchmark.h>
 

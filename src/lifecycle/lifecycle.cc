@@ -80,7 +80,7 @@ void AppendJobSpanName(std::string& out, const Job& job) {
 
 void EmitJobSpan(Telemetry* telemetry, SpanProfile profile, const Job& job,
                  bool lost, double loss, const RunTiming& timing,
-                 std::string* scratch, const std::string& study_label) {
+                 std::string* scratch) {
   if (telemetry == nullptr) return;
   Json args = JsonObject{};
   args.Set("trial", Json(job.trial_id));
@@ -102,7 +102,6 @@ void EmitJobSpan(Telemetry* telemetry, SpanProfile profile, const Job& job,
       args.Set("loss", Json(loss));
     }
   }
-  if (!study_label.empty()) args.Set("study", Json(study_label));
   std::string local;
   std::string& name = scratch != nullptr ? *scratch : local;
   AppendJobSpanName(name, job);
@@ -111,17 +110,7 @@ void EmitJobSpan(Telemetry* telemetry, SpanProfile profile, const Job& job,
 }
 
 TrialLifecycle::TrialLifecycle(Scheduler& scheduler, LifecycleOptions options)
-    : scheduler_(scheduler), options_(options) {
-  batching_ = options_.batch_telemetry && options_.telemetry != nullptr;
-  if (batching_) options_.telemetry->tracer().AttachBatchSource(this);
-}
-
-TrialLifecycle::~TrialLifecycle() {
-  if (batching_) {
-    FlushTelemetry();
-    options_.telemetry->tracer().AttachBatchSource(nullptr);
-  }
-}
+    : scheduler_(scheduler), options_(options) {}
 
 std::optional<LeasedJob> TrialLifecycle::Acquire() {
   auto job = scheduler_.GetJob();
@@ -151,17 +140,7 @@ void TrialLifecycle::NoteRecommendation(double now) {
     if (last.trial_id == rec->trial_id && last.loss == rec->loss) return;
   }
   recommendations_.push_back({now, rec->trial_id, rec->loss, rec->resource});
-  if (options_.emit_recommendation_events && options_.telemetry != nullptr) {
-    if (batching_) {
-      DeferredEvent event;
-      event.is_span = false;
-      event.time = now;
-      event.trial = rec->trial_id;
-      event.loss = rec->loss;
-      event.resource = rec->resource;
-      deferred_.push_back(event);
-      return;
-    }
+  if (options_.emit_spans && options_.telemetry != nullptr) {
     Json args = JsonObject{};
     args.Set("trial", Json(rec->trial_id));
     args.Set("loss", Json(rec->loss));
@@ -187,39 +166,18 @@ void TrialLifecycle::Resolve(const LeasedJob& lease, bool lost, double loss,
     ++completed_;
   }
   if (options_.telemetry != nullptr) {
-    if (batching_) {
-      if (options_.emit_spans) {
-        DeferredEvent event;
-        event.is_span = true;
-        event.trial = lease.job.trial_id;
-        event.rung = lease.job.rung;
-        event.bracket = lease.job.bracket;
-        event.from_resource = lease.job.from_resource;
-        event.to_resource = lease.job.to_resource;
-        event.lost = lost;
-        event.loss = loss;
-        event.timing = timing;
-        deferred_.push_back(event);
+    if (options_.emit_spans) {
+      EmitJobSpan(options_.telemetry, SpanProfile::kFull, lease.job, lost,
+                  loss, timing, &span_name_);
+    }
+    const char* const counter_name =
+        lost ? options_.lost_counter : options_.completed_counter;
+    if (counter_name != nullptr) {
+      Counter*& counter = lost ? lost_counter_ : completed_counter_;
+      if (counter == nullptr) {
+        counter = &options_.telemetry->metrics().counter(counter_name);
       }
-      if (lost) {
-        lost_delta_ += options_.lost_counter != nullptr;
-      } else {
-        completed_delta_ += options_.completed_counter != nullptr;
-      }
-    } else {
-      if (options_.emit_spans) {
-        EmitJobSpan(options_.telemetry, options_.span_profile, lease.job,
-                    lost, loss, timing, &span_name_, options_.study_label);
-      }
-      const char* const counter_name =
-          lost ? options_.lost_counter : options_.completed_counter;
-      if (counter_name != nullptr) {
-        Counter*& counter = lost ? lost_counter_ : completed_counter_;
-        if (counter == nullptr) {
-          counter = &options_.telemetry->metrics().counter(counter_name);
-        }
-        counter->Increment();
-      }
+      counter->Increment();
     }
   }
   if (options_.record_runs) {
@@ -239,94 +197,6 @@ void TrialLifecycle::Resolve(const LeasedJob& lease, bool lost, double loss,
     records_.push_back(record);
   }
   if (options_.track_recommendations) NoteRecommendation(timing.end);
-}
-
-void TrialLifecycle::MaterializeInto(std::vector<TraceEvent>& out) {
-  for (const DeferredEvent& deferred : deferred_) {
-    TraceEvent event;
-    if (deferred.is_span) {
-      Json args = JsonObject{};
-      args.Set("trial", Json(deferred.trial));
-      args.Set("rung", Json(deferred.rung));
-      if (options_.span_profile == SpanProfile::kFull) {
-        args.Set("bracket", Json(deferred.bracket));
-        args.Set("from_resource", Json(deferred.from_resource));
-        args.Set("to_resource", Json(deferred.to_resource));
-        if (deferred.lost) {
-          args.Set("dropped", Json(true));
-        } else {
-          args.Set("loss", Json(deferred.loss));
-        }
-      } else {
-        args.Set("to_resource", Json(deferred.to_resource));
-        if (deferred.lost) {
-          args.Set("lost", Json(true));
-        } else {
-          args.Set("loss", Json(deferred.loss));
-        }
-      }
-      if (!options_.study_label.empty()) {
-        args.Set("study", Json(options_.study_label));
-      }
-      event.time = deferred.timing.start;
-      event.duration = deferred.timing.end - deferred.timing.start;
-      span_name_.clear();
-      span_name_ += 't';
-      span_name_ += std::to_string(deferred.trial);
-      span_name_ += ":r";
-      span_name_ += std::to_string(deferred.rung);
-      event.name = span_name_;
-      event.category = "worker";
-      event.worker = deferred.timing.worker;
-      event.args = std::move(args);
-    } else {
-      Json args = JsonObject{};
-      args.Set("trial", Json(deferred.trial));
-      args.Set("loss", Json(deferred.loss));
-      args.Set("resource", Json(deferred.resource));
-      event.time = deferred.time;
-      event.name = "recommendation";
-      event.category = "job";
-      event.worker = 0;
-      event.args = std::move(args);
-    }
-    out.push_back(std::move(event));
-  }
-  deferred_.clear();
-}
-
-void TrialLifecycle::FlushCounters() {
-  if (completed_delta_ > 0) {
-    if (completed_counter_ == nullptr) {
-      completed_counter_ =
-          &options_.telemetry->metrics().counter(options_.completed_counter);
-    }
-    completed_counter_->Increment(completed_delta_);
-    completed_delta_ = 0;
-  }
-  if (lost_delta_ > 0) {
-    if (lost_counter_ == nullptr) {
-      lost_counter_ =
-          &options_.telemetry->metrics().counter(options_.lost_counter);
-    }
-    lost_counter_->Increment(lost_delta_);
-    lost_delta_ = 0;
-  }
-}
-
-void TrialLifecycle::Drain(std::vector<TraceEvent>& out) {
-  MaterializeInto(out);
-}
-
-void TrialLifecycle::FlushTelemetry() {
-  if (!batching_) return;
-  if (!deferred_.empty()) {
-    std::vector<TraceEvent> events;
-    events.reserve(deferred_.size());
-    MaterializeInto(events);
-    options_.telemetry->tracer().RecordBatch(std::move(events));
-  }
-  FlushCounters();
 }
 
 void TrialLifecycle::Complete(const LeasedJob& lease, double loss,

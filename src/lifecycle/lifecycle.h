@@ -18,7 +18,9 @@
 //     a "recommendation" trace instant);
 //   * telemetry: job spans are named and emitted here (see EmitJobSpan),
 //     either inside Complete/Lose (single-threaded backends) or by the
-//     backend outside its serialization lock (the thread pool).
+//     backend outside its serialization lock (the thread pool). Spans,
+//     recommendation instants and counter bumps reach the sink at the
+//     moment the lease resolves; nothing is buffered.
 //
 // Thread-safety: TrialLifecycle has the same contract as Scheduler — NOT
 // thread-safe; concurrent backends serialize Acquire/Complete/Lose behind
@@ -35,7 +37,6 @@
 #include "common/check.h"
 #include "core/scheduler.h"
 #include "lifecycle/run_record.h"
-#include "telemetry/trace.h"
 
 namespace hypertune {
 
@@ -108,11 +109,11 @@ enum class SpanProfile {
 struct LifecycleOptions {
   /// Optional observability sink (not owned; must outlive the lifecycle).
   Telemetry* telemetry = nullptr;
-  /// Emit one job span per resolution inside Complete/Lose. Backends that
-  /// must emit outside their lock leave this off and call EmitJobSpan
-  /// themselves.
+  /// Emit one job span (SpanProfile::kFull) per resolution inside
+  /// Complete/Lose, plus a "recommendation" trace instant on each incumbent
+  /// change when track_recommendations is on. Backends that must emit
+  /// outside their lock leave this off and call EmitJobSpan themselves.
   bool emit_spans = false;
-  SpanProfile span_profile = SpanProfile::kFull;
   /// Counter bumped per completion / loss (null disables). Resolved
   /// lazily on first use so an all-zero counter never appears in metrics
   /// snapshots (preserving pre-refactor output).
@@ -121,23 +122,10 @@ struct LifecycleOptions {
   /// Record the scheduler's recommendation after each resolution whenever
   /// it changes (the incumbent trajectory the paper's figures plot).
   bool track_recommendations = false;
-  /// Additionally emit a "recommendation" trace instant on each change.
-  bool emit_recommendation_events = false;
   /// Append one RunRecord per resolution. Throughput harnesses that only
   /// need counters (bench/micro_sim) turn this off; records() /
   /// TakeRecords() then stay empty.
   bool record_runs = true;
-  /// Multi-tenant label: when non-empty, every job span carries a `"study"`
-  /// argument so traces from studies co-hosted on one sink (src/study) can
-  /// be told apart. Empty preserves the single-tenant span shape byte for
-  /// byte.
-  std::string study_label;
-  /// Defer span/instant emissions and counter bumps into a per-lifecycle
-  /// buffer flushed at sync points (FlushTelemetry, destruction, or a
-  /// foreign Record on the tracer — see EventTracer::BatchSource), instead
-  /// of paying Json assembly + a tracer lock per resolution. Exports are
-  /// byte-identical to the unbatched path. Single-threaded backends only.
-  bool batch_telemetry = false;
 };
 
 /// Rejects non-finite losses (NaN, +/-inf) with a CheckError. Exposed so
@@ -149,18 +137,14 @@ void ValidateReportedLoss(double loss);
 void AppendJobSpanName(std::string& out, const Job& job);
 
 /// Emits one job span on the executing worker's track. `scratch` (optional)
-/// is reused for the span name; `study_label` (optional) tags the span's
-/// args with its study. Safe to call from any thread.
+/// is reused for the span name. Safe to call from any thread.
 void EmitJobSpan(Telemetry* telemetry, SpanProfile profile, const Job& job,
                  bool lost, double loss, const RunTiming& timing,
-                 std::string* scratch = nullptr,
-                 const std::string& study_label = {});
+                 std::string* scratch = nullptr);
 
-class TrialLifecycle final : private EventTracer::BatchSource {
+class TrialLifecycle final {
  public:
   TrialLifecycle(Scheduler& scheduler, LifecycleOptions options);
-  /// Flushes and detaches the telemetry batch, if one is active.
-  ~TrialLifecycle() override;
 
   TrialLifecycle(const TrialLifecycle&) = delete;
   TrialLifecycle& operator=(const TrialLifecycle&) = delete;
@@ -190,12 +174,6 @@ class TrialLifecycle final : private EventTracer::BatchSource {
   /// Leases acquired but not yet resolved.
   std::size_t pending_leases() const { return pending_.size(); }
 
-  /// Sync point for batched telemetry: pushes buffered spans/instants to
-  /// the tracer and applies buffered counter deltas. No-op when batching
-  /// is off or the buffer is empty. Callers must flush before reading the
-  /// tracer mid-run; destruction flushes automatically.
-  void FlushTelemetry();
-
   const std::vector<RunRecord>& records() const { return records_; }
   std::vector<RunRecord> TakeRecords() { return std::move(records_); }
   const std::vector<RecommendationPoint>& recommendations() const {
@@ -216,31 +194,9 @@ class TrialLifecycle final : private EventTracer::BatchSource {
   void Restore(const Json& snapshot);
 
  private:
-  /// One deferred trace emission: a job span or a recommendation instant,
-  /// stored as plain fields so no Json is assembled until flush time.
-  struct DeferredEvent {
-    bool is_span = true;
-    // Span payload (EmitJobSpan's inputs).
-    TrialId trial = -1;
-    int rung = 0;
-    int bracket = 0;
-    double from_resource = 0;
-    double to_resource = 0;
-    bool lost = false;
-    double loss = 0;
-    RunTiming timing;
-    // Recommendation payload (trial/loss fields shared with the span's).
-    double time = 0;
-    double resource = 0;
-  };
-
   void Resolve(const LeasedJob& lease, bool lost, double loss,
                const RunTiming& timing);
   void NoteRecommendation(double now);
-  // EventTracer::BatchSource — materializes deferred events in order.
-  void Drain(std::vector<TraceEvent>& out) override;
-  void MaterializeInto(std::vector<TraceEvent>& out);
-  void FlushCounters();
 
   Scheduler& scheduler_;
   LifecycleOptions options_;
@@ -254,11 +210,6 @@ class TrialLifecycle final : private EventTracer::BatchSource {
   Counter* completed_counter_ = nullptr;
   Counter* lost_counter_ = nullptr;
   std::string span_name_;  // reused across emissions
-  // Telemetry batching (active iff options_.batch_telemetry && telemetry).
-  bool batching_ = false;
-  std::vector<DeferredEvent> deferred_;
-  std::int64_t completed_delta_ = 0;
-  std::int64_t lost_delta_ = 0;
 };
 
 }  // namespace hypertune

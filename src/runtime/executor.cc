@@ -21,11 +21,9 @@ ThreadPoolExecutor::ThreadPoolExecutor(Scheduler& scheduler,
                   // WorkerLoop); the lifecycle owns validation, records,
                   // counters, and the incumbent trajectory.
                   .emit_spans = false,
-                  .span_profile = SpanProfile::kCompact,
                   .completed_counter = "executor.jobs_completed",
                   .lost_counter = "executor.jobs_lost",
-                  .track_recommendations = true,
-                  .emit_recommendation_events = false}) {
+                  .track_recommendations = true}) {
   HT_CHECK(options_.num_workers > 0);
   HT_CHECK(options_.prefetch >= 0);
   HT_CHECK(options_.hazard_time_scale >= 0);

@@ -20,8 +20,7 @@ TuningServer::TuningServer(Scheduler& scheduler, ServerOptions options)
       // core's span/counter emission stays off.
       lifecycle_(scheduler,
                  LifecycleOptions{
-                     .track_recommendations = options.track_recommendations,
-                     .study_label = options.study_label}) {
+                     .track_recommendations = options.track_recommendations}) {
   HT_CHECK(options_.lease_timeout > 0);
   HT_CHECK(options_.max_batch > 0);
 }

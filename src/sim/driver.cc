@@ -35,15 +35,11 @@ DriverResult SimulationDriver::Run(SimContext& context) {
   TrialLifecycle lifecycle(scheduler,
                            {.telemetry = telemetry,
                             .emit_spans = true,
-                            .span_profile = SpanProfile::kFull,
                             .completed_counter = "driver.jobs_completed",
                             .lost_counter = "driver.jobs_dropped",
                             .track_recommendations =
                                 options.track_recommendations,
-                            .emit_recommendation_events =
-                                options.track_recommendations,
-                            .record_runs = options.record_runs,
-                            .batch_telemetry = options.batch_telemetry});
+                            .record_runs = options.record_runs});
 
   const auto workers = static_cast<std::size_t>(options.num_workers);
   // Slots past the worker count keep their (stale) contents; resize only
@@ -132,7 +128,6 @@ DriverResult SimulationDriver::Run(SimContext& context) {
   result.jobs_dropped = lifecycle.lost_jobs();
   result.completions = lifecycle.TakeRecords();
   result.recommendations = lifecycle.TakeRecommendations();
-  lifecycle.FlushTelemetry();
   if (telemetry != nullptr) {
     auto& metrics = telemetry->metrics();
     if (result.jobs_in_flight > 0) {

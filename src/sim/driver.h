@@ -65,11 +65,6 @@ struct DriverOptions {
   /// emit recommendation-change instants. Throughput harnesses turn this
   /// off to skip the per-completion Scheduler::Current() query.
   bool track_recommendations = true;
-  /// Defer span/instant emissions and counter bumps into a per-run buffer
-  /// flushed at sync points instead of paying Json assembly plus a tracer
-  /// lock per job (see EventTracer::BatchSource). Exports are
-  /// byte-identical to the unbatched path.
-  bool batch_telemetry = true;
 };
 
 struct DriverResult {

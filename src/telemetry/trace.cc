@@ -4,18 +4,7 @@ namespace hypertune {
 
 void EventTracer::Record(TraceEvent event) {
   std::lock_guard<std::mutex> lock(mutex_);
-  if (batch_source_ != nullptr) batch_source_->Drain(events_);
   events_.push_back(std::move(event));
-}
-
-void EventTracer::RecordBatch(std::vector<TraceEvent>&& events) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& event : events) events_.push_back(std::move(event));
-}
-
-void EventTracer::AttachBatchSource(BatchSource* source) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  batch_source_ = source;
 }
 
 std::size_t EventTracer::size() const {

@@ -3,9 +3,10 @@
 // Two event shapes cover everything the system emits: instants (a trial was
 // promoted, a lease expired) and spans (a worker ran a job from t to
 // t+dur). Events carry a category for filtering, a worker/track id, and an
-// optional Json args object. The tracer is thread-safe (one mutex around
-// the append) — cheap enough for the executor, and irrelevant for the
-// single-threaded simulator.
+// optional Json args object. The tracer is thread-safe at all times (one
+// mutex around the append), and every emitter records its event at the
+// moment it happens, so an event's log position is its emission order.
+// The lock is uncontended in the single-threaded simulator.
 //
 // Exports:
 //   ToJsonl()       one compact JSON object per line — grep/jq-friendly.
@@ -44,34 +45,7 @@ struct TraceEvent {
 
 class EventTracer {
  public:
-  /// A deferred-event source (see src/lifecycle's telemetry batching): the
-  /// simulation hot path coalesces its span/instant emissions into a local
-  /// buffer instead of paying one Record (Json assembly + mutex) per event.
-  /// While a source is attached, any direct Record first drains the source,
-  /// so deferred events keep their exact log position relative to events
-  /// recorded by other components (schedulers emitting mid-run) and every
-  /// export stays byte-identical to the unbatched path.
-  ///
-  /// Attaching a source restricts the tracer to single-threaded use until
-  /// it is detached — the drain reads buffer state the owner mutates
-  /// without a lock. Reads (size/Events/ToJsonl/ToChromeTrace) do NOT
-  /// drain; owners flush at their sync points before anyone reads.
-  class BatchSource {
-   public:
-    virtual ~BatchSource() = default;
-    /// Appends all buffered events, in emission order, and clears the
-    /// buffer. Must not call back into the tracer.
-    virtual void Drain(std::vector<TraceEvent>& out) = 0;
-  };
-
   void Record(TraceEvent event);
-
-  /// Bulk append under one lock; does not trigger a source drain (this is
-  /// the call a draining source's owner uses to flush).
-  void RecordBatch(std::vector<TraceEvent>&& events);
-
-  /// Attaches (or, with nullptr, detaches) the deferred-event source.
-  void AttachBatchSource(BatchSource* source);
 
   std::size_t size() const;
   /// Copy of all events recorded so far (in record order).
@@ -83,7 +57,6 @@ class EventTracer {
  private:
   mutable std::mutex mutex_;
   std::vector<TraceEvent> events_;
-  BatchSource* batch_source_ = nullptr;
 };
 
 }  // namespace hypertune

@@ -2,14 +2,13 @@
 // exactly ascending (end, seq) order, so the driver's completion order is
 // fixed by the events alone. These tests check BinaryEventHeap against a
 // sorted-vector reference on randomized driver-shaped workloads, pin the
-// idle-worker set's lowest-index-first order, and check batched telemetry
-// and the stranded in-flight accounting in DriverResult.
+// idle-worker set's lowest-index-first order, and check the stranded
+// in-flight accounting in DriverResult.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <string>
 #include <tuple>
 #include <vector>
 
@@ -169,69 +168,33 @@ AshaOptions SmallAsha() {
   return options;
 }
 
-struct EngineRun {
-  DriverResult result;
-  std::string jsonl;
-};
-
-EngineRun RunAsha(bool batch, int workers, std::size_t max_jobs = 0) {
+DriverResult RunAsha(int workers, std::size_t max_jobs = 0) {
   AshaScheduler scheduler(MakeRandomSampler(UnitSpace()), SmallAsha());
   LinearEnv env;
   auto telemetry = Telemetry::ForSimulation();
   DriverOptions options;
   options.num_workers = workers;
   options.telemetry = telemetry.get();
-  options.batch_telemetry = batch;
   options.max_completed_jobs = max_jobs;
   SimulationDriver driver(scheduler, env, options);
-  EngineRun run;
-  run.result = driver.Run();
-  run.jsonl = telemetry->tracer().ToJsonl();
-  return run;
-}
-
-void ExpectSameDecisions(const EngineRun& a, const EngineRun& b) {
-  ASSERT_EQ(a.result.completions.size(), b.result.completions.size());
-  for (std::size_t i = 0; i < a.result.completions.size(); ++i) {
-    const RunRecord& x = a.result.completions[i];
-    const RunRecord& y = b.result.completions[i];
-    ASSERT_EQ(x.trial_id, y.trial_id) << "job " << i;
-    ASSERT_EQ(x.rung, y.rung) << "job " << i;
-    ASSERT_EQ(x.worker, y.worker) << "job " << i;
-    ASSERT_EQ(x.start_time, y.start_time) << "job " << i;
-    ASSERT_EQ(x.end_time, y.end_time) << "job " << i;
-    ASSERT_EQ(x.loss, y.loss) << "job " << i;
-    ASSERT_EQ(x.lost, y.lost) << "job " << i;
-  }
-  ASSERT_EQ(a.result.recommendations.size(), b.result.recommendations.size());
-  EXPECT_EQ(a.result.end_time, b.result.end_time);
-  EXPECT_EQ(a.result.jobs_completed, b.result.jobs_completed);
-  // The telemetry export — spans, instants, metadata — must be
-  // byte-identical, not merely equivalent.
-  EXPECT_EQ(a.jsonl, b.jsonl);
-}
-
-TEST(EngineEquivalence, BatchedTelemetryMatchesUnbatched) {
-  const EngineRun batched = RunAsha(true, 8);
-  const EngineRun unbatched = RunAsha(false, 8);
-  ExpectSameDecisions(batched, unbatched);
+  return driver.Run();
 }
 
 TEST(StrandedAccounting, InFlightJobsAreCountedNotDropped) {
   // Cap completions mid-run with several workers: the jobs still occupying
   // workers at the stop are in flight — not completed, not dropped.
-  const EngineRun run = RunAsha(true, 8, /*max_jobs=*/10);
-  EXPECT_EQ(run.result.jobs_completed, 10u);
-  EXPECT_GT(run.result.jobs_in_flight, 0u);
-  EXPECT_LE(run.result.jobs_in_flight, 7u);  // at most workers - 1
-  EXPECT_EQ(run.result.completions.size(),
-            run.result.jobs_completed + run.result.jobs_dropped);
+  const DriverResult result = RunAsha(8, /*max_jobs=*/10);
+  EXPECT_EQ(result.jobs_completed, 10u);
+  EXPECT_GT(result.jobs_in_flight, 0u);
+  EXPECT_LE(result.jobs_in_flight, 7u);  // at most workers - 1
+  EXPECT_EQ(result.completions.size(),
+            result.jobs_completed + result.jobs_dropped);
 }
 
 TEST(StrandedAccounting, DrainedRunHasNoInFlightJobs) {
-  const EngineRun run = RunAsha(true, 4);
-  EXPECT_EQ(run.result.jobs_in_flight, 0u);
-  EXPECT_GT(run.result.jobs_completed, 0u);
+  const DriverResult result = RunAsha(4);
+  EXPECT_EQ(result.jobs_in_flight, 0u);
+  EXPECT_GT(result.jobs_completed, 0u);
 }
 
 TEST(StrandedAccounting, StrandedCounterMatchesResult) {

@@ -218,6 +218,80 @@ TEST(Telemetry, SimulationCountsMatchDriverResult) {
   EXPECT_LT(max_tid, 8);
 }
 
+// Wraps a scheduler and, on every GetJob, compares the driver's outcome
+// counters with the outcomes reported to the scheduler so far. The driver
+// bumps its counters as each lease resolves, so the two never differ.
+class CounterProbe final : public Scheduler {
+ public:
+  CounterProbe(Scheduler& inner, Telemetry& telemetry)
+      : inner_(inner),
+        completed_(telemetry.metrics().counter("driver.jobs_completed")),
+        dropped_(telemetry.metrics().counter("driver.jobs_dropped")) {}
+
+  std::optional<Job> GetJob() override {
+    ++probes_;
+    if (completed_.value() != reported_ || dropped_.value() != lost_) {
+      ++stale_reads_;
+    }
+    return inner_.GetJob();
+  }
+  void ReportResult(const Job& job, double loss) override {
+    ++reported_;
+    inner_.ReportResult(job, loss);
+  }
+  void ReportLost(const Job& job) override {
+    ++lost_;
+    inner_.ReportLost(job);
+  }
+  bool Finished() const override { return inner_.Finished(); }
+  std::optional<Recommendation> Current() const override {
+    return inner_.Current();
+  }
+  const TrialBank& trials() const override { return inner_.trials(); }
+  std::string name() const override { return inner_.name(); }
+
+  std::int64_t probes() const { return probes_; }
+  std::int64_t stale_reads() const { return stale_reads_; }
+  std::int64_t reported() const { return reported_; }
+  std::int64_t lost() const { return lost_; }
+
+ private:
+  Scheduler& inner_;
+  Counter& completed_;
+  Counter& dropped_;
+  std::int64_t probes_ = 0;
+  std::int64_t stale_reads_ = 0;
+  std::int64_t reported_ = 0;
+  std::int64_t lost_ = 0;
+};
+
+TEST(Telemetry, DriverCountersAreLiveDuringRun) {
+  AshaOptions options;
+  options.r = 1;
+  options.R = 16;
+  options.eta = 4;
+  options.max_trials = 64;
+  AshaScheduler asha(MakeRandomSampler(UnitSpace()), options);
+  auto telemetry = Telemetry::ForSimulation();
+  CounterProbe probe(asha, *telemetry);
+
+  RankEnv env;
+  DriverOptions driver_options;
+  driver_options.num_workers = 8;
+  driver_options.hazards.drop_probability = 0.1;
+  driver_options.telemetry = telemetry.get();
+  SimulationDriver driver(probe, env, driver_options);
+  const DriverResult result = driver.Run();
+
+  ASSERT_GT(result.jobs_completed, 0u);
+  ASSERT_GT(result.jobs_dropped, 0u);
+  EXPECT_EQ(probe.reported(),
+            static_cast<std::int64_t>(result.jobs_completed));
+  EXPECT_EQ(probe.lost(), static_cast<std::int64_t>(result.jobs_dropped));
+  EXPECT_GT(probe.probes(), probe.reported());
+  EXPECT_EQ(probe.stale_reads(), 0);
+}
+
 TEST(Telemetry, ExecutorEmitsSpansAndHistograms) {
   AshaOptions options;
   options.r = 1;
