@@ -66,17 +66,17 @@ class Rng {
   /// Exponential with the given rate (> 0).
   double Exponential(double rate);
 
-  /// Raw engine state, for service-style snapshot/restore. The cached
-  /// Box-Muller spare is dropped on restore (one extra normal draw at most).
+  /// Raw engine state, for service-style snapshot/restore. set_state()
+  /// alone drops the cached Box-Muller spare; snapshots keep it (see
+  /// WriteRng/ReadRng in core/trial_json.h), so a restored stream repeats
+  /// the original's draws bit for bit, normals included.
   std::array<std::uint64_t, 4> state() const { return s_; }
   void set_state(const std::array<std::uint64_t, 4>& state) {
     s_ = state;
     has_spare_normal_ = false;
   }
 
-  /// Box-Muller spare accessors, for snapshots that must reproduce the
-  /// normal-draw sequence bit-for-bit (the durability layer's hazard
-  /// stream). set_state() alone drops the spare; restoring it afterwards
+  /// Box-Muller spare accessors; restoring the spare after set_state()
   /// makes the round-trip exact.
   bool has_spare_normal() const { return has_spare_normal_; }
   double spare_normal() const { return spare_normal_; }

@@ -64,7 +64,6 @@ Job AshaScheduler::MakeJob(TrialId id, int rung) {
   job.rung = rung;
   job.bracket = options_.s;
   trial.status = TrialStatus::kRunning;
-  ++jobs_in_flight_;
   resource_dispatched_ += job.to_resource - job.from_resource;
   in_flight_[id] = job;
   return job;
@@ -114,9 +113,7 @@ std::optional<Job> AshaScheduler::GetJob() {
 }
 
 void AshaScheduler::ReportResult(const Job& job, double loss) {
-  HT_CHECK(jobs_in_flight_ > 0);
-  --jobs_in_flight_;
-  in_flight_.erase(job.trial_id);
+  ResolveInFlight(in_flight_, job);
   Trial& trial = bank_->Get(job.trial_id);
   bank_->RecordObservation(job.trial_id, job.to_resource, loss);
   rungs_.at(static_cast<std::size_t>(job.rung)).Record(job.trial_id, loss);
@@ -137,9 +134,7 @@ void AshaScheduler::ReportResult(const Job& job, double loss) {
 }
 
 void AshaScheduler::ReportLost(const Job& job) {
-  HT_CHECK(jobs_in_flight_ > 0);
-  --jobs_in_flight_;
-  in_flight_.erase(job.trial_id);
+  ResolveInFlight(in_flight_, job);
   // The configuration's work is gone; ASHA simply moves on (the robustness
   // property evaluated in Appendix A.1). If the trial had been promoted its
   // promotion mark stays — the slot is lost, not recycled.
@@ -155,7 +150,7 @@ void AshaScheduler::ReportLost(const Job& job) {
 bool AshaScheduler::Finished() const {
   if (options_.max_trials < 0) return false;  // can always grow rung 0
   if (trials_created_ < options_.max_trials) return false;
-  if (jobs_in_flight_ > 0) return false;  // completions may unlock promotions
+  if (!in_flight_.empty()) return false;  // completions may unlock promotions
   // O(1) per rung against the incremental promotable index — this runs on
   // every executor worker-loop iteration, so the old O(n)-scan,
   // vector-allocating PromotableTrials walk here throttled large fleets.
@@ -172,83 +167,50 @@ std::optional<Recommendation> AshaScheduler::Current() const {
   return incumbent_.Current();
 }
 
-Json AshaScheduler::Snapshot() const { return SnapshotState(true); }
+Json AshaScheduler::Snapshot() const {
+  if (!SupportsSnapshot()) return Scheduler::Snapshot();
+  return SnapshotState(true);
+}
 
 void AshaScheduler::Restore(const Json& snapshot, RestorePolicy policy) {
+  if (!SupportsSnapshot()) return Scheduler::Restore(snapshot, policy);
   RestoreState(snapshot, policy, true);
 }
 
-Json AshaScheduler::SnapshotState(bool include_bank) const {
-  Json json = JsonObject{};
-  // Bracket identity, validated on Restore.
+Json AshaScheduler::Identity() const {
   Json bracket = JsonObject{};
   bracket.Set("r", Json(options_.r));
   bracket.Set("R", Json(options_.R));
   bracket.Set("eta", Json(options_.eta));
   bracket.Set("s", Json(options_.s));
   bracket.Set("infinite_horizon", Json(options_.infinite_horizon));
-  json.Set("bracket", std::move(bracket));
+  return bracket;
+}
 
+Json AshaScheduler::SnapshotState(bool include_bank) const {
+  Json json = JsonObject{};
+  json.Set("bracket", Identity());
   if (include_bank) json.Set("trials", ToJson(*bank_));
   Json rungs = JsonArray{};
-  for (const auto& rung : rungs_) {
-    Json entry = JsonObject{};
-    Json results = JsonArray{};
-    Json promoted = JsonArray{};
-    for (const auto& [loss, id] : rung.results()) {
-      Json pair = JsonObject{};
-      pair.Set("trial", Json(id));
-      pair.Set("loss", Json(loss));
-      results.PushBack(std::move(pair));
-      if (rung.IsPromoted(id)) promoted.PushBack(Json(id));
-    }
-    entry.Set("results", std::move(results));
-    entry.Set("promoted", std::move(promoted));
-    rungs.PushBack(std::move(entry));
-  }
+  for (const auto& rung : rungs_) rungs.PushBack(ToJson(rung));
   json.Set("rungs", std::move(rungs));
-
-  Json in_flight = JsonArray{};
-  for (const auto& [id, job] : in_flight_) {
-    (void)id;
-    in_flight.PushBack(ToJson(job));
-  }
-  json.Set("in_flight", std::move(in_flight));
-
+  WriteInFlight(in_flight_, json);
   json.Set("trials_created", Json(trials_created_));
   json.Set("resource_dispatched", Json(resource_dispatched_));
-  if (const auto rec = incumbent_.Current()) {
-    Json entry = JsonObject{};
-    entry.Set("trial", Json(rec->trial_id));
-    entry.Set("loss", Json(rec->loss));
-    entry.Set("resource", Json(rec->resource));
-    json.Set("incumbent", std::move(entry));
-  }
-  Json rng_state = JsonArray{};
-  for (std::uint64_t word : rng_.state()) {
-    rng_state.PushBack(Json(static_cast<std::int64_t>(word)));
-  }
-  json.Set("rng", std::move(rng_state));
+  WriteIncumbent(incumbent_, json);
+  WriteRng(rng_, json);
   return json;
 }
 
 void AshaScheduler::RestoreState(const Json& snapshot, RestorePolicy policy,
                                  bool restore_bank) {
-  HT_CHECK_MSG(trials_created_ == 0 && jobs_in_flight_ == 0,
+  HT_CHECK_MSG(trials_created_ == 0 && in_flight_.empty(),
                "Restore requires a freshly constructed scheduler");
   if (restore_bank) {
     HT_CHECK_MSG(bank_->size() == 0,
                  "Restore requires an untouched trial bank");
   }
-  const Json& bracket = snapshot.at("bracket");
-  HT_CHECK_MSG(bracket.at("r").AsDouble() == options_.r &&
-                   bracket.at("R").AsDouble() == options_.R &&
-                   bracket.at("eta").AsDouble() == options_.eta &&
-                   bracket.at("s").AsInt() == options_.s &&
-                   bracket.at("infinite_horizon").AsBool() ==
-                       options_.infinite_horizon,
-               "snapshot bracket options do not match this scheduler");
-
+  CheckIdentity(snapshot.at("bracket"), Identity());
   if (restore_bank) *bank_ = TrialBankFromJson(snapshot.at("trials"));
 
   const auto& rungs = snapshot.at("rungs").AsArray();
@@ -259,46 +221,14 @@ void AshaScheduler::RestoreState(const Json& snapshot, RestorePolicy policy,
                  "snapshot has more rungs than the bracket allows");
   }
   for (std::size_t k = 0; k < rungs.size(); ++k) {
-    for (const auto& pair : rungs[k].at("results").AsArray()) {
-      rungs_[k].Record(pair.at("trial").AsInt(), pair.at("loss").AsDouble());
-    }
-    for (const auto& id : rungs[k].at("promoted").AsArray()) {
-      rungs_[k].MarkPromoted(id.AsInt());
-    }
+    rungs_[k] = RungFromJson(rungs[k]);
   }
-
-  if (snapshot.Has("in_flight")) {
-    for (const auto& entry : snapshot.at("in_flight").AsArray()) {
-      Job job = JobFromJson(entry);
-      in_flight_[job.trial_id] = job;
-      ++jobs_in_flight_;
-    }
-  }
-
+  in_flight_ = ReadInFlight(snapshot);
   trials_created_ = snapshot.at("trials_created").AsInt();
   resource_dispatched_ = snapshot.at("resource_dispatched").AsDouble();
-  if (snapshot.Has("incumbent")) {
-    const Json& rec = snapshot.at("incumbent");
-    incumbent_.Offer(rec.at("trial").AsInt(), rec.at("loss").AsDouble(),
-                     rec.at("resource").AsDouble());
-  }
-  std::array<std::uint64_t, 4> rng_state{};
-  const auto& words = snapshot.at("rng").AsArray();
-  HT_CHECK(words.size() == rng_state.size());
-  for (std::size_t i = 0; i < rng_state.size(); ++i) {
-    rng_state[i] = static_cast<std::uint64_t>(words[i].AsInt());
-  }
-  rng_.set_state(rng_state);
-
-  if (policy == RestorePolicy::kDropInFlight) {
-    // The workers died with the service: resolve every in-flight job as
-    // lost, in ascending trial order for determinism.
-    while (!in_flight_.empty()) {
-      // Copy: ReportLost erases this map entry and keeps using the job.
-      const Job job = in_flight_.begin()->second;
-      ReportLost(job);
-    }
-  }
+  ReadIncumbent(snapshot, incumbent_);
+  ReadRng(snapshot, rng_);
+  if (policy == RestorePolicy::kDropInFlight) DropInFlight(*this, in_flight_);
 }
 
 }  // namespace hypertune

@@ -89,7 +89,7 @@ class AshaScheduler final : public Scheduler {
   /// jobs are resolved as lost on Restore, exactly as if the workers died
   /// with the service process; kKeepInFlight leaves them open for a
   /// durability layer to settle.
-  bool SupportsSnapshot() const override { return true; }
+  bool SupportsSnapshot() const override { return sampler_->Stateless(); }
   Json Snapshot() const override;
   void Restore(const Json& snapshot, RestorePolicy policy) override;
   using Scheduler::Restore;
@@ -102,6 +102,8 @@ class AshaScheduler final : public Scheduler {
                     bool restore_bank);
 
  private:
+  /// The options a snapshot must have been taken under ("bracket").
+  Json Identity() const;
   bool IsTopRung(int k) const;
   std::optional<Job> FindPromotion();
   Job MakeJob(TrialId id, int rung);
@@ -115,11 +117,10 @@ class AshaScheduler final : public Scheduler {
   Telemetry* telemetry_ = nullptr;
   Rng rng_;
   std::int64_t trials_created_ = 0;
-  std::int64_t jobs_in_flight_ = 0;
   double resource_dispatched_ = 0;
-  /// The jobs behind jobs_in_flight_, keyed by trial (a trial has at most
-  /// one job in flight). Carried so Snapshot can capture them and Restore
-  /// can resolve or re-open them.
+  /// Jobs issued and not yet reported, keyed by trial (a trial has at most
+  /// one job in flight): reports are checked against it, Snapshot captures
+  /// it, and Restore resolves or re-opens it.
   std::map<TrialId, Job> in_flight_;
 };
 

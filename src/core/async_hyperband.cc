@@ -76,9 +76,15 @@ std::optional<Recommendation> AsyncHyperbandScheduler::Current() const {
   return incumbent_.Current();
 }
 
-Json AsyncHyperbandScheduler::Snapshot() const {
+Json AsyncHyperbandScheduler::Identity() const {
   Json json = JsonObject{};
   json.Set("num_brackets", Json(static_cast<std::int64_t>(brackets_.size())));
+  return json;
+}
+
+Json AsyncHyperbandScheduler::Snapshot() const {
+  if (!SupportsSnapshot()) return Scheduler::Snapshot();
+  Json json = Identity();
   json.Set("trials", ToJson(*bank_));
   Json brackets = JsonArray{};
   for (const auto& bracket : brackets_) {
@@ -91,23 +97,16 @@ Json AsyncHyperbandScheduler::Snapshot() const {
   }
   json.Set("budget_threshold", std::move(thresholds));
   json.Set("current", Json(current_));
-  if (const auto rec = incumbent_.Current()) {
-    Json entry = JsonObject{};
-    entry.Set("trial", Json(rec->trial_id));
-    entry.Set("loss", Json(rec->loss));
-    entry.Set("resource", Json(rec->resource));
-    json.Set("incumbent", std::move(entry));
-  }
+  WriteIncumbent(incumbent_, json);
   return json;
 }
 
 void AsyncHyperbandScheduler::Restore(const Json& snapshot,
                                       RestorePolicy policy) {
+  if (!SupportsSnapshot()) return Scheduler::Restore(snapshot, policy);
   HT_CHECK_MSG(bank_->size() == 0,
                "Restore requires a freshly constructed scheduler");
-  HT_CHECK_MSG(snapshot.at("num_brackets").AsInt() ==
-                   static_cast<std::int64_t>(brackets_.size()),
-               "snapshot bracket count does not match this scheduler");
+  CheckIdentity(snapshot, Identity());
   *bank_ = TrialBankFromJson(snapshot.at("trials"));
   const auto& brackets = snapshot.at("brackets").AsArray();
   HT_CHECK(brackets.size() == brackets_.size());
@@ -120,11 +119,7 @@ void AsyncHyperbandScheduler::Restore(const Json& snapshot,
     budget_threshold_[s] = thresholds[s].AsDouble();
   }
   current_ = static_cast<int>(snapshot.at("current").AsInt());
-  if (snapshot.Has("incumbent")) {
-    const Json& rec = snapshot.at("incumbent");
-    incumbent_.Offer(rec.at("trial").AsInt(), rec.at("loss").AsDouble(),
-                     rec.at("resource").AsDouble());
-  }
+  ReadIncumbent(snapshot, incumbent_);
 }
 
 }  // namespace hypertune

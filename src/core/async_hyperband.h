@@ -51,12 +51,16 @@ class AsyncHyperbandScheduler final : public Scheduler {
   /// Crash recovery: the shared trial bank, each ASHA bracket's state (bank
   /// omitted), the budget rotation thresholds, and the incumbent. The fixed
   /// bracket set and per-bracket budgets are re-derived by the constructor.
-  bool SupportsSnapshot() const override { return true; }
+  bool SupportsSnapshot() const override {
+    return brackets_.front()->SupportsSnapshot();
+  }
   Json Snapshot() const override;
   void Restore(const Json& snapshot, RestorePolicy policy) override;
   using Scheduler::Restore;
 
  private:
+  /// The options a snapshot must have been taken under (top-level keys).
+  Json Identity() const;
   void AdvanceBracketIfDepleted();
 
   std::shared_ptr<TrialBank> bank_;

@@ -110,8 +110,7 @@ std::optional<Recommendation> HyperbandScheduler::Current() const {
   return incumbent_.Current();
 }
 
-Json HyperbandScheduler::Snapshot() const {
-  Json json = JsonObject{};
+Json HyperbandScheduler::Identity() const {
   Json opts = JsonObject{};
   opts.Set("n0", Json(static_cast<std::int64_t>(options_.n0)));
   opts.Set("r", Json(options_.r));
@@ -123,40 +122,29 @@ Json HyperbandScheduler::Snapshot() const {
   // Unlike ASHA (whose RNG state is captured directly), future brackets
   // derive their seeds from the base seed — it is part of the identity.
   opts.Set("seed", Json(static_cast<std::int64_t>(options_.seed)));
-  json.Set("options", std::move(opts));
+  return opts;
+}
 
+Json HyperbandScheduler::Snapshot() const {
+  if (!SupportsSnapshot()) return Scheduler::Snapshot();
+  Json json = JsonObject{};
+  json.Set("options", Identity());
   json.Set("trials", ToJson(*bank_));
   Json brackets = JsonArray{};
   for (const auto& bracket : brackets_run_) {
     brackets.PushBack(bracket->SnapshotState(/*include_bank=*/false));
   }
   json.Set("brackets", std::move(brackets));
-  if (const auto rec = incumbent_.Current()) {
-    Json entry = JsonObject{};
-    entry.Set("trial", Json(rec->trial_id));
-    entry.Set("loss", Json(rec->loss));
-    entry.Set("resource", Json(rec->resource));
-    json.Set("incumbent", std::move(entry));
-  }
+  WriteIncumbent(incumbent_, json);
   return json;
 }
 
 void HyperbandScheduler::Restore(const Json& snapshot, RestorePolicy policy) {
+  if (!SupportsSnapshot()) return Scheduler::Restore(snapshot, policy);
   HT_CHECK_MSG(bank_->size() == 0 && brackets_run_.size() == 1 &&
                    brackets_run_[0]->NumBracketInstances() == 0,
                "Restore requires a freshly constructed scheduler");
-  const Json& opts = snapshot.at("options");
-  HT_CHECK_MSG(
-      opts.at("n0").AsInt() == static_cast<std::int64_t>(options_.n0) &&
-          opts.at("r").AsDouble() == options_.r &&
-          opts.at("R").AsDouble() == options_.R &&
-          opts.at("eta").AsDouble() == options_.eta &&
-          opts.at("incumbent_policy").AsInt() ==
-              static_cast<std::int64_t>(options_.incumbent_policy) &&
-          opts.at("loop_forever").AsBool() == options_.loop_forever &&
-          opts.at("seed").AsInt() ==
-              static_cast<std::int64_t>(options_.seed),
-      "snapshot options do not match this scheduler");
+  CheckIdentity(snapshot.at("options"), Identity());
 
   *bank_ = TrialBankFromJson(snapshot.at("trials"));
   // Rebuild each bracket with its original deterministic options, then
@@ -168,11 +156,7 @@ void HyperbandScheduler::Restore(const Json& snapshot, RestorePolicy policy) {
     brackets_run_.back()->RestoreState(child, policy,
                                        /*restore_bank=*/false);
   }
-  if (snapshot.Has("incumbent")) {
-    const Json& rec = snapshot.at("incumbent");
-    incumbent_.Offer(rec.at("trial").AsInt(), rec.at("loss").AsDouble(),
-                     rec.at("resource").AsDouble());
-  }
+  ReadIncumbent(snapshot, incumbent_);
 }
 
 }  // namespace hypertune

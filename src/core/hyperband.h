@@ -58,12 +58,14 @@ class HyperbandScheduler final : public Scheduler {
   /// a SyncShaScheduler snapshot, bank omitted), and the wrapper-level
   /// incumbent. Brackets are reconstructed with their original options and
   /// seeds, then restored in order.
-  bool SupportsSnapshot() const override { return true; }
+  bool SupportsSnapshot() const override { return sampler_->Stateless(); }
   Json Snapshot() const override;
   void Restore(const Json& snapshot, RestorePolicy policy) override;
   using Scheduler::Restore;
 
  private:
+  /// The options a snapshot must have been taken under ("options").
+  Json Identity() const;
   void StartNextBracketIfNeeded();
   /// Appends bracket #brackets_run_.size() with its deterministic options
   /// (early-stopping rate, cohort size, seed). Shared by the live path and

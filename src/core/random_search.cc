@@ -1,7 +1,5 @@
 #include "core/random_search.h"
 
-#include <array>
-
 #include "common/check.h"
 #include "common/json.h"
 #include "core/trial_json.h"
@@ -25,7 +23,6 @@ std::optional<Job> RandomSearchScheduler::GetJob() {
   }
   const TrialId id = bank_->Create(sampler_->Sample(rng_), /*bracket=*/0);
   ++trials_created_;
-  ++jobs_in_flight_;
   Trial& trial = bank_->Get(id);
   trial.status = TrialStatus::kRunning;
   Job job;
@@ -38,9 +35,7 @@ std::optional<Job> RandomSearchScheduler::GetJob() {
 }
 
 void RandomSearchScheduler::ReportResult(const Job& job, double loss) {
-  HT_CHECK(jobs_in_flight_ > 0);
-  --jobs_in_flight_;
-  in_flight_.erase(job.trial_id);
+  ResolveInFlight(in_flight_, job);
   bank_->RecordObservation(job.trial_id, job.to_resource, loss);
   bank_->Get(job.trial_id).status = TrialStatus::kCompleted;
   incumbent_.Offer(job.trial_id, loss, job.to_resource);
@@ -48,81 +43,49 @@ void RandomSearchScheduler::ReportResult(const Job& job, double loss) {
 }
 
 void RandomSearchScheduler::ReportLost(const Job& job) {
-  HT_CHECK(jobs_in_flight_ > 0);
-  --jobs_in_flight_;
-  in_flight_.erase(job.trial_id);
+  ResolveInFlight(in_flight_, job);
   bank_->Get(job.trial_id).status = TrialStatus::kLost;
 }
 
 bool RandomSearchScheduler::Finished() const {
   return options_.max_trials >= 0 && trials_created_ >= options_.max_trials &&
-         jobs_in_flight_ == 0;
+         in_flight_.empty();
 }
 
 std::optional<Recommendation> RandomSearchScheduler::Current() const {
   return incumbent_.Current();
 }
 
-Json RandomSearchScheduler::Snapshot() const {
+Json RandomSearchScheduler::Identity() const {
   Json json = JsonObject{};
   json.Set("R", Json(options_.R));
   json.Set("max_trials", Json(options_.max_trials));
+  return json;
+}
+
+Json RandomSearchScheduler::Snapshot() const {
+  if (!SupportsSnapshot()) return Scheduler::Snapshot();
+  Json json = Identity();
   json.Set("trials", ToJson(*bank_));
-  Json in_flight = JsonArray{};
-  for (const auto& [id, job] : in_flight_) {
-    (void)id;
-    in_flight.PushBack(ToJson(job));
-  }
-  json.Set("in_flight", std::move(in_flight));
+  WriteInFlight(in_flight_, json);
   json.Set("trials_created", Json(trials_created_));
-  if (const auto rec = incumbent_.Current()) {
-    Json entry = JsonObject{};
-    entry.Set("trial", Json(rec->trial_id));
-    entry.Set("loss", Json(rec->loss));
-    entry.Set("resource", Json(rec->resource));
-    json.Set("incumbent", std::move(entry));
-  }
-  Json rng_state = JsonArray{};
-  for (std::uint64_t word : rng_.state()) {
-    rng_state.PushBack(Json(static_cast<std::int64_t>(word)));
-  }
-  json.Set("rng", std::move(rng_state));
+  WriteIncumbent(incumbent_, json);
+  WriteRng(rng_, json);
   return json;
 }
 
 void RandomSearchScheduler::Restore(const Json& snapshot,
                                     RestorePolicy policy) {
-  HT_CHECK_MSG(bank_->size() == 0 && jobs_in_flight_ == 0,
+  if (!SupportsSnapshot()) return Scheduler::Restore(snapshot, policy);
+  HT_CHECK_MSG(bank_->size() == 0 && in_flight_.empty(),
                "Restore requires a freshly constructed scheduler");
-  HT_CHECK_MSG(snapshot.at("R").AsDouble() == options_.R &&
-                   snapshot.at("max_trials").AsInt() == options_.max_trials,
-               "snapshot options do not match this scheduler");
+  CheckIdentity(snapshot, Identity());
   *bank_ = TrialBankFromJson(snapshot.at("trials"));
-  for (const auto& entry : snapshot.at("in_flight").AsArray()) {
-    Job job = JobFromJson(entry);
-    in_flight_[job.trial_id] = job;
-    ++jobs_in_flight_;
-  }
+  in_flight_ = ReadInFlight(snapshot);
   trials_created_ = snapshot.at("trials_created").AsInt();
-  if (snapshot.Has("incumbent")) {
-    const Json& rec = snapshot.at("incumbent");
-    incumbent_.Offer(rec.at("trial").AsInt(), rec.at("loss").AsDouble(),
-                     rec.at("resource").AsDouble());
-  }
-  std::array<std::uint64_t, 4> rng_state{};
-  const auto& words = snapshot.at("rng").AsArray();
-  HT_CHECK(words.size() == rng_state.size());
-  for (std::size_t i = 0; i < rng_state.size(); ++i) {
-    rng_state[i] = static_cast<std::uint64_t>(words[i].AsInt());
-  }
-  rng_.set_state(rng_state);
-  if (policy == RestorePolicy::kDropInFlight) {
-    while (!in_flight_.empty()) {
-      // Copy: ReportLost erases this map entry and keeps using the job.
-      const Job job = in_flight_.begin()->second;
-      ReportLost(job);
-    }
-  }
+  ReadIncumbent(snapshot, incumbent_);
+  ReadRng(snapshot, rng_);
+  if (policy == RestorePolicy::kDropInFlight) DropInFlight(*this, in_flight_);
 }
 
 }  // namespace hypertune

@@ -36,19 +36,22 @@ class RandomSearchScheduler final : public Scheduler {
 
   /// Crash recovery: trials, in-flight jobs, counters, incumbent, and the
   /// sampling RNG (see Scheduler::Snapshot).
-  bool SupportsSnapshot() const override { return true; }
+  bool SupportsSnapshot() const override { return sampler_->Stateless(); }
   Json Snapshot() const override;
   void Restore(const Json& snapshot, RestorePolicy policy) override;
   using Scheduler::Restore;
 
  private:
+  /// The options a snapshot must have been taken under (top-level keys).
+  Json Identity() const;
+
   std::shared_ptr<ConfigSampler> sampler_;
   RandomSearchOptions options_;
   std::shared_ptr<TrialBank> bank_;
   IncumbentTracker incumbent_;
   Rng rng_;
   std::int64_t trials_created_ = 0;
-  std::int64_t jobs_in_flight_ = 0;
+  /// Jobs issued and not yet reported, keyed by trial.
   std::map<TrialId, Job> in_flight_;
 };
 

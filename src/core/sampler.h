@@ -28,6 +28,13 @@ class ConfigSampler {
     (void)resource;
     (void)loss;
   }
+
+  /// True when Sample draws only from the Rng it is handed and Observe
+  /// keeps nothing, so a scheduler snapshot — which carries that Rng —
+  /// restores the sampler exactly. Samplers with state of their own (a
+  /// model's observations, a sequence index) return false, and their
+  /// schedulers report SupportsSnapshot() == false.
+  virtual bool Stateless() const { return false; }
 };
 
 /// Uniform random sampling from the search space (the paper's default).
@@ -36,6 +43,7 @@ class RandomConfigSampler final : public ConfigSampler {
   explicit RandomConfigSampler(SearchSpace space) : space_(std::move(space)) {}
 
   Configuration Sample(Rng& rng) override { return space_.Sample(rng); }
+  bool Stateless() const override { return true; }
 
   const SearchSpace& space() const { return space_; }
 

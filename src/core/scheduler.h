@@ -7,6 +7,7 @@
 // — which is precisely the idle time stragglers inflict on them.
 #pragma once
 
+#include <map>
 #include <optional>
 #include <string>
 
@@ -81,9 +82,13 @@ class Scheduler {
   /// Short human-readable name for reports ("ASHA", "SHA", ...).
   virtual std::string name() const = 0;
 
-  /// True when this scheduler implements Snapshot/Restore. The successive-
-  /// halving family (ASHA, SHA, both Hyperbands) and random search do;
-  /// schedulers without support throw CheckError from Snapshot/Restore.
+  /// True when Snapshot/Restore are implemented and exact: the restored
+  /// scheduler issues the same jobs the original would. The successive-
+  /// halving family (ASHA, SHA, both Hyperbands) and random search support
+  /// snapshots only with a stateless sampler (ConfigSampler::Stateless) —
+  /// the snapshot carries the sampling RNG but not a model's observations
+  /// or a quasi-random index. Schedulers without support throw CheckError
+  /// from Snapshot/Restore.
   virtual bool SupportsSnapshot() const { return false; }
 
   /// Service-style crash recovery: captures the scheduler's complete state
@@ -102,5 +107,10 @@ class Scheduler {
     Restore(snapshot, RestorePolicy::kDropInFlight);
   }
 };
+
+/// Settles a reported job against a scheduler's in-flight map (trial ->
+/// the job issued for it): erases the entry, or throws CheckError unless
+/// `job` is the job in flight for its trial.
+void ResolveInFlight(std::map<TrialId, Job>& in_flight, const Job& job);
 
 }  // namespace hypertune

@@ -1,6 +1,5 @@
 #include "core/sha.h"
 
-#include <array>
 #include <cmath>
 
 #include "common/check.h"
@@ -168,11 +167,11 @@ void SyncShaScheduler::OnRungSettled(std::size_t instance_idx) {
 }
 
 void SyncShaScheduler::ReportResult(const Job& job, double loss) {
+  ResolveInFlight(in_flight_, job);
   auto& inst = instances_.at(job.tag);
   const auto k = static_cast<std::size_t>(job.rung);
   HT_CHECK(inst.outstanding[k] > 0);
   --inst.outstanding[k];
-  in_flight_.erase(job.trial_id);
 
   bank_->RecordObservation(job.trial_id, job.to_resource, loss);
   inst.rungs[k].Record(job.trial_id, loss);
@@ -193,11 +192,11 @@ void SyncShaScheduler::ReportResult(const Job& job, double loss) {
 }
 
 void SyncShaScheduler::ReportLost(const Job& job) {
+  ResolveInFlight(in_flight_, job);
   auto& inst = instances_.at(job.tag);
   const auto k = static_cast<std::size_t>(job.rung);
   HT_CHECK(inst.outstanding[k] > 0);
   --inst.outstanding[k];
-  in_flight_.erase(job.trial_id);
   bank_->Get(job.trial_id).status = TrialStatus::kLost;
   if (telemetry_ != nullptr) {
     Json args = JsonObject{};
@@ -227,15 +226,17 @@ std::optional<Recommendation> SyncShaScheduler::Current() const {
   return incumbent_.Current();
 }
 
-Json SyncShaScheduler::Snapshot() const { return SnapshotState(true); }
+Json SyncShaScheduler::Snapshot() const {
+  if (!SupportsSnapshot()) return Scheduler::Snapshot();
+  return SnapshotState(true);
+}
 
 void SyncShaScheduler::Restore(const Json& snapshot, RestorePolicy policy) {
+  if (!SupportsSnapshot()) return Scheduler::Restore(snapshot, policy);
   RestoreState(snapshot, policy, true);
 }
 
-Json SyncShaScheduler::SnapshotState(bool include_bank) const {
-  Json json = JsonObject{};
-  // Bracket identity, validated on Restore.
+Json SyncShaScheduler::Identity() const {
   Json bracket = JsonObject{};
   bracket.Set("n", Json(static_cast<std::int64_t>(options_.n)));
   bracket.Set("r", Json(options_.r));
@@ -245,8 +246,12 @@ Json SyncShaScheduler::SnapshotState(bool include_bank) const {
   bracket.Set("spawn_new_brackets", Json(options_.spawn_new_brackets));
   bracket.Set("incumbent_policy",
               Json(static_cast<std::int64_t>(options_.incumbent_policy)));
-  json.Set("bracket", std::move(bracket));
+  return bracket;
+}
 
+Json SyncShaScheduler::SnapshotState(bool include_bank) const {
+  Json json = JsonObject{};
+  json.Set("bracket", Identity());
   if (include_bank) json.Set("trials", ToJson(*bank_));
 
   Json instances = JsonArray{};
@@ -270,21 +275,7 @@ Json SyncShaScheduler::SnapshotState(bool include_bank) const {
     }
     entry.Set("outstanding", std::move(outstanding));
     Json rungs = JsonArray{};
-    for (const auto& rung : inst.rungs) {
-      Json rung_entry = JsonObject{};
-      Json results = JsonArray{};
-      Json promoted = JsonArray{};
-      for (const auto& [loss, id] : rung.results()) {
-        Json pair = JsonObject{};
-        pair.Set("trial", Json(id));
-        pair.Set("loss", Json(loss));
-        results.PushBack(std::move(pair));
-        if (rung.IsPromoted(id)) promoted.PushBack(Json(id));
-      }
-      rung_entry.Set("results", std::move(results));
-      rung_entry.Set("promoted", std::move(promoted));
-      rungs.PushBack(std::move(rung_entry));
-    }
+    for (const auto& rung : inst.rungs) rungs.PushBack(ToJson(rung));
     entry.Set("rungs", std::move(rungs));
     entry.Set("frontier", Json(inst.frontier));
     entry.Set("complete", Json(inst.complete));
@@ -292,28 +283,12 @@ Json SyncShaScheduler::SnapshotState(bool include_bank) const {
   }
   json.Set("instances", std::move(instances));
 
-  Json in_flight = JsonArray{};
-  for (const auto& [id, job] : in_flight_) {
-    (void)id;
-    in_flight.PushBack(ToJson(job));
-  }
-  json.Set("in_flight", std::move(in_flight));
-
+  WriteInFlight(in_flight_, json);
   json.Set("completed_brackets",
            Json(static_cast<std::int64_t>(completed_brackets_)));
   json.Set("resource_dispatched", Json(resource_dispatched_));
-  if (const auto rec = incumbent_.Current()) {
-    Json entry = JsonObject{};
-    entry.Set("trial", Json(rec->trial_id));
-    entry.Set("loss", Json(rec->loss));
-    entry.Set("resource", Json(rec->resource));
-    json.Set("incumbent", std::move(entry));
-  }
-  Json rng_state = JsonArray{};
-  for (std::uint64_t word : rng_.state()) {
-    rng_state.PushBack(Json(static_cast<std::int64_t>(word)));
-  }
-  json.Set("rng", std::move(rng_state));
+  WriteIncumbent(incumbent_, json);
+  WriteRng(rng_, json);
   return json;
 }
 
@@ -325,19 +300,7 @@ void SyncShaScheduler::RestoreState(const Json& snapshot, RestorePolicy policy,
     HT_CHECK_MSG(bank_->size() == 0,
                  "Restore requires an untouched trial bank");
   }
-  const Json& bracket = snapshot.at("bracket");
-  HT_CHECK_MSG(
-      bracket.at("n").AsInt() == static_cast<std::int64_t>(options_.n) &&
-          bracket.at("r").AsDouble() == options_.r &&
-          bracket.at("R").AsDouble() == options_.R &&
-          bracket.at("eta").AsDouble() == options_.eta &&
-          bracket.at("s").AsInt() == options_.s &&
-          bracket.at("spawn_new_brackets").AsBool() ==
-              options_.spawn_new_brackets &&
-          bracket.at("incumbent_policy").AsInt() ==
-              static_cast<std::int64_t>(options_.incumbent_policy),
-      "snapshot bracket options do not match this scheduler");
-
+  CheckIdentity(snapshot.at("bracket"), Identity());
   if (restore_bank) *bank_ = TrialBankFromJson(snapshot.at("trials"));
 
   for (const auto& entry : snapshot.at("instances").AsArray()) {
@@ -353,52 +316,23 @@ void SyncShaScheduler::RestoreState(const Json& snapshot, RestorePolicy policy,
     for (const auto& o : entry.at("outstanding").AsArray()) {
       inst.outstanding.push_back(static_cast<std::size_t>(o.AsInt()));
     }
-    for (const auto& rung_entry : entry.at("rungs").AsArray()) {
-      Rung rung;
-      for (const auto& pair : rung_entry.at("results").AsArray()) {
-        rung.Record(pair.at("trial").AsInt(), pair.at("loss").AsDouble());
-      }
-      for (const auto& id : rung_entry.at("promoted").AsArray()) {
-        rung.MarkPromoted(id.AsInt());
-      }
-      inst.rungs.push_back(std::move(rung));
+    for (const auto& rung : entry.at("rungs").AsArray()) {
+      inst.rungs.push_back(RungFromJson(rung));
     }
     inst.frontier = static_cast<int>(entry.at("frontier").AsInt());
     inst.complete = entry.at("complete").AsBool();
     instances_.push_back(std::move(inst));
   }
 
-  for (const auto& entry : snapshot.at("in_flight").AsArray()) {
-    Job job = JobFromJson(entry);
-    in_flight_[job.trial_id] = job;
-  }
-
+  in_flight_ = ReadInFlight(snapshot);
   completed_brackets_ =
       static_cast<std::size_t>(snapshot.at("completed_brackets").AsInt());
   resource_dispatched_ = snapshot.at("resource_dispatched").AsDouble();
-  if (snapshot.Has("incumbent")) {
-    const Json& rec = snapshot.at("incumbent");
-    incumbent_.Offer(rec.at("trial").AsInt(), rec.at("loss").AsDouble(),
-                     rec.at("resource").AsDouble());
-  }
-  std::array<std::uint64_t, 4> rng_state{};
-  const auto& words = snapshot.at("rng").AsArray();
-  HT_CHECK(words.size() == rng_state.size());
-  for (std::size_t i = 0; i < rng_state.size(); ++i) {
-    rng_state[i] = static_cast<std::uint64_t>(words[i].AsInt());
-  }
-  rng_.set_state(rng_state);
-
-  if (policy == RestorePolicy::kDropInFlight) {
-    // The workers died with the service: every in-flight job is lost.
-    // ReportLost shrinks the rung pool and settles frontiers exactly as
-    // live worker deaths would (ascending trial order for determinism).
-    while (!in_flight_.empty()) {
-      // Copy: ReportLost erases this map entry and keeps using the job.
-      const Job job = in_flight_.begin()->second;
-      ReportLost(job);
-    }
-  }
+  ReadIncumbent(snapshot, incumbent_);
+  ReadRng(snapshot, rng_);
+  // ReportLost shrinks the rung pool and settles frontiers exactly as live
+  // worker deaths would.
+  if (policy == RestorePolicy::kDropInFlight) DropInFlight(*this, in_flight_);
 }
 
 }  // namespace hypertune

@@ -71,7 +71,7 @@ class SyncShaScheduler final : public Scheduler {
   /// incumbent, and the sampling RNG. With kDropInFlight, dropping the
   /// in-flight jobs runs through ReportLost — shrinking rungs and settling
   /// frontiers exactly as live worker deaths would.
-  bool SupportsSnapshot() const override { return true; }
+  bool SupportsSnapshot() const override { return sampler_->Stateless(); }
   Json Snapshot() const override;
   void Restore(const Json& snapshot, RestorePolicy policy) override;
   using Scheduler::Restore;
@@ -100,6 +100,8 @@ class SyncShaScheduler final : public Scheduler {
     bool complete = false;
   };
 
+  /// The options a snapshot must have been taken under ("bracket").
+  Json Identity() const;
   BracketInstance MakeInstance();
   std::optional<Job> DispatchFrom(std::size_t instance_idx);
   void OnRungSettled(std::size_t instance_idx);

@@ -1,6 +1,9 @@
 #include "core/trial_json.h"
 
+#include <array>
+
 #include "common/check.h"
+#include "core/scheduler.h"
 #include "searchspace/config_json.h"
 
 namespace hypertune {
@@ -102,6 +105,115 @@ Job JobFromJson(const Json& json) {
   job.bracket = static_cast<int>(json.at("bracket").AsInt());
   job.tag = static_cast<std::uint64_t>(json.at("tag").AsInt());
   return job;
+}
+
+void WriteRng(const Rng& rng, Json& snapshot) {
+  Json words = JsonArray{};
+  for (std::uint64_t word : rng.state()) {
+    words.PushBack(Json(static_cast<std::int64_t>(word)));
+  }
+  snapshot.Set("rng", std::move(words));
+  if (rng.has_spare_normal()) {
+    snapshot.Set("spare_normal", Json(rng.spare_normal()));
+  }
+}
+
+void ReadRng(const Json& snapshot, Rng& rng) {
+  std::array<std::uint64_t, 4> state{};
+  const auto& words = snapshot.at("rng").AsArray();
+  HT_CHECK(words.size() == state.size());
+  for (std::size_t i = 0; i < state.size(); ++i) {
+    state[i] = static_cast<std::uint64_t>(words[i].AsInt());
+  }
+  rng.set_state(state);
+  if (snapshot.Has("spare_normal")) {
+    rng.set_spare_normal(true, snapshot.at("spare_normal").AsDouble());
+  }
+}
+
+void WriteIncumbent(const IncumbentTracker& incumbent, Json& snapshot) {
+  const auto rec = incumbent.Current();
+  if (!rec) return;
+  Json entry = JsonObject{};
+  entry.Set("trial", Json(rec->trial_id));
+  entry.Set("loss", Json(rec->loss));
+  entry.Set("resource", Json(rec->resource));
+  snapshot.Set("incumbent", std::move(entry));
+}
+
+void ReadIncumbent(const Json& snapshot, IncumbentTracker& incumbent) {
+  if (!snapshot.Has("incumbent")) return;
+  const Json& rec = snapshot.at("incumbent");
+  incumbent.Offer(rec.at("trial").AsInt(), rec.at("loss").AsDouble(),
+                  rec.at("resource").AsDouble());
+}
+
+void WriteInFlight(const std::map<TrialId, Job>& in_flight, Json& snapshot) {
+  Json jobs = JsonArray{};
+  for (const auto& [id, job] : in_flight) jobs.PushBack(ToJson(job));
+  snapshot.Set("in_flight", std::move(jobs));
+}
+
+std::map<TrialId, Job> ReadInFlight(const Json& snapshot) {
+  std::map<TrialId, Job> in_flight;
+  if (!snapshot.Has("in_flight")) return in_flight;
+  for (const auto& entry : snapshot.at("in_flight").AsArray()) {
+    Job job = JobFromJson(entry);
+    const TrialId id = job.trial_id;
+    in_flight.emplace(id, std::move(job));
+  }
+  return in_flight;
+}
+
+Json ToJson(const Rung& rung) {
+  Json results = JsonArray{};
+  Json promoted = JsonArray{};
+  for (const auto& [loss, id] : rung.results()) {
+    Json pair = JsonObject{};
+    pair.Set("trial", Json(id));
+    pair.Set("loss", Json(loss));
+    results.PushBack(std::move(pair));
+    if (rung.IsPromoted(id)) promoted.PushBack(Json(id));
+  }
+  Json json = JsonObject{};
+  json.Set("results", std::move(results));
+  json.Set("promoted", std::move(promoted));
+  return json;
+}
+
+Rung RungFromJson(const Json& json) {
+  Rung rung;
+  for (const auto& pair : json.at("results").AsArray()) {
+    rung.Record(pair.at("trial").AsInt(), pair.at("loss").AsDouble());
+  }
+  for (const auto& id : json.at("promoted").AsArray()) {
+    rung.MarkPromoted(id.AsInt());
+  }
+  return rung;
+}
+
+void CheckIdentity(const Json& stored, const Json& identity) {
+  for (const auto& [key, expected] : identity.AsObject()) {
+    const Json& actual = stored.at(key);
+    const bool same =
+        expected.IsNumber() && actual.IsNumber()
+            ? (expected.IsInt() && actual.IsInt()
+                   ? expected.AsInt() == actual.AsInt()
+                   : expected.AsDouble() == actual.AsDouble())
+            : expected == actual;
+    HT_CHECK_MSG(same, "snapshot option '" << key << "' is " << actual.Dump()
+                                           << " but this scheduler has "
+                                           << expected.Dump());
+  }
+}
+
+void DropInFlight(Scheduler& scheduler,
+                  const std::map<TrialId, Job>& in_flight) {
+  while (!in_flight.empty()) {
+    // Copy: ReportLost erases this map entry and keeps using the job.
+    const Job job = in_flight.begin()->second;
+    scheduler.ReportLost(job);
+  }
 }
 
 }  // namespace hypertune

@@ -1,10 +1,17 @@
 // JSON (de)serialization of trials and trial banks, used both for result
-// export and for scheduler snapshot/restore.
+// export and for scheduler snapshot/restore — and the rest of the snapshot
+// vocabulary: every Snapshot()/Restore() in the scheduler family, and the
+// hazard stream's, writes and reads its RNG, incumbent, in-flight jobs and
+// rungs through the functions below, so the format lives in this one file.
 #pragma once
 
+#include <map>
 #include <string>
 
 #include "common/json.h"
+#include "common/rng.h"
+#include "core/incumbent.h"
+#include "core/rung.h"
 #include "core/trial.h"
 
 namespace hypertune {
@@ -23,5 +30,39 @@ TrialBank TrialBankFromJson(const Json& json);
 /// Wire format for jobs (the tuning service sends these to workers).
 Json ToJson(const Job& job);
 Job JobFromJson(const Json& json);
+
+class Scheduler;
+
+/// Sets "rng" (the four engine words) on `snapshot` and, while a Box–Muller
+/// spare is cached, "spare_normal". ReadRng restores both, so the restored
+/// stream repeats the original's draws bit for bit, normals included.
+void WriteRng(const Rng& rng, Json& snapshot);
+void ReadRng(const Json& snapshot, Rng& rng);
+
+/// Sets "incumbent" when the tracker holds a recommendation.
+void WriteIncumbent(const IncumbentTracker& incumbent, Json& snapshot);
+void ReadIncumbent(const Json& snapshot, IncumbentTracker& incumbent);
+
+/// Sets "in_flight": the jobs, in ascending trial order. ReadInFlight
+/// returns them keyed by trial (empty when the key is absent).
+void WriteInFlight(const std::map<TrialId, Job>& in_flight, Json& snapshot);
+std::map<TrialId, Job> ReadInFlight(const Json& snapshot);
+
+/// A rung's results and promotion marks.
+Json ToJson(const Rung& rung);
+Rung RungFromJson(const Json& json);
+
+/// The restore-time options check: every field of `identity` (the object
+/// the scheduler's Snapshot writes to say which options produced it) must
+/// equal the same field of `stored`. Numbers compare by value, so the check
+/// holds however a Dump()/Parse() round trip typed them. Throws CheckError
+/// naming the first mismatch.
+void CheckIdentity(const Json& stored, const Json& identity);
+
+/// RestorePolicy::kDropInFlight: the workers died with the service, so
+/// every job in `in_flight` — the scheduler's own map, which ReportLost
+/// erases from — is resolved as lost, in ascending trial order.
+void DropInFlight(Scheduler& scheduler,
+                  const std::map<TrialId, Job>& in_flight);
 
 }  // namespace hypertune

@@ -1,10 +1,9 @@
 #include "lifecycle/hazards.h"
 
-#include <array>
 #include <cmath>
 
 #include "common/check.h"
-#include "common/json.h"
+#include "core/trial_json.h"
 
 namespace hypertune {
 
@@ -50,28 +49,10 @@ HazardPlan HazardInjector::Plan(double base_duration) {
 
 Json HazardInjector::Snapshot() const {
   Json json = JsonObject{};
-  Json rng_state = JsonArray{};
-  for (std::uint64_t word : rng_.state()) {
-    rng_state.PushBack(Json(static_cast<std::int64_t>(word)));
-  }
-  json.Set("rng", std::move(rng_state));
-  if (rng_.has_spare_normal()) {
-    json.Set("spare_normal", Json(rng_.spare_normal()));
-  }
+  WriteRng(rng_, json);
   return json;
 }
 
-void HazardInjector::Restore(const Json& snapshot) {
-  std::array<std::uint64_t, 4> rng_state{};
-  const auto& words = snapshot.at("rng").AsArray();
-  HT_CHECK(words.size() == rng_state.size());
-  for (std::size_t i = 0; i < rng_state.size(); ++i) {
-    rng_state[i] = static_cast<std::uint64_t>(words[i].AsInt());
-  }
-  rng_.set_state(rng_state);
-  if (snapshot.Has("spare_normal")) {
-    rng_.set_spare_normal(true, snapshot.at("spare_normal").AsDouble());
-  }
-}
+void HazardInjector::Restore(const Json& snapshot) { ReadRng(snapshot, rng_); }
 
 }  // namespace hypertune

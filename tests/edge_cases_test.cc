@@ -196,5 +196,71 @@ TEST(EdgeCases, DriverHandlesSchedulerWithNoWork) {
   EXPECT_DOUBLE_EQ(result.end_time, 0.0);
 }
 
+// A report must name the job that is in flight for its trial. The scheduler
+// rejects a forged job — one never issued — before it touches any state.
+Job NeverIssued(const Job& issued) {
+  Job forged = issued;
+  forged.rung = issued.rung + 1;
+  forged.from_resource = issued.to_resource;
+  forged.to_resource = issued.to_resource * 3;
+  return forged;
+}
+
+TEST(EdgeCases, AshaRejectsReportOfJobNeverIssued) {
+  AshaOptions options;
+  options.r = 1;
+  options.R = 9;
+  options.eta = 3;
+  options.max_trials = 2;
+  AshaScheduler asha(MakeRandomSampler(UnitSpace()), options);
+  const Job j0 = *asha.GetJob();
+  const Job j1 = *asha.GetJob();
+  const Job forged = NeverIssued(j0);  // {trial 0, rung 1}
+  EXPECT_THROW(asha.ReportResult(forged, 0.1), CheckError);
+  EXPECT_THROW(asha.ReportLost(forged), CheckError);
+  EXPECT_EQ(asha.rung(1).NumRecorded(), 0u);
+  // Trial 1 is still out, so the scheduler is not finished.
+  asha.ReportResult(j0, 0.5);
+  EXPECT_FALSE(asha.Finished());
+  asha.ReportResult(j1, 0.6);
+  // A job reported twice is no longer in flight.
+  EXPECT_THROW(asha.ReportResult(j1, 0.6), CheckError);
+}
+
+TEST(EdgeCases, ShaRejectsReportOfJobNeverIssued) {
+  ShaOptions options;
+  options.n = 9;
+  options.r = 1;
+  options.R = 9;
+  options.eta = 3;
+  SyncShaScheduler sha(MakeRandomSampler(UnitSpace()), options);
+  const Job j0 = *sha.GetJob();
+  const Job j1 = *sha.GetJob();
+  EXPECT_THROW(sha.ReportResult(NeverIssued(j0), 0.1), CheckError);
+  EXPECT_THROW(sha.ReportLost(NeverIssued(j0)), CheckError);
+  Job wrong_trial = j1;
+  wrong_trial.trial_id = 5;  // sampled into the cohort, never dispatched
+  EXPECT_THROW(sha.ReportResult(wrong_trial, 0.1), CheckError);
+  sha.ReportResult(j0, 0.5);
+  sha.ReportLost(j1);
+  EXPECT_THROW(sha.ReportLost(j1), CheckError);
+}
+
+TEST(EdgeCases, RandomSearchRejectsReportOfJobNeverIssued) {
+  RandomSearchOptions options;
+  options.R = 4;
+  options.max_trials = 2;
+  RandomSearchScheduler random(MakeRandomSampler(UnitSpace()), options);
+  const Job j0 = *random.GetJob();
+  const Job j1 = *random.GetJob();
+  EXPECT_THROW(random.ReportResult(NeverIssued(j0), 0.1), CheckError);
+  EXPECT_THROW(random.ReportLost(NeverIssued(j0)), CheckError);
+  random.ReportResult(j0, 0.5);
+  EXPECT_FALSE(random.Finished());  // trial 1 is still out
+  random.ReportLost(j1);
+  EXPECT_TRUE(random.Finished());
+  EXPECT_THROW(random.ReportResult(j0, 0.5), CheckError);
+}
+
 }  // namespace
 }  // namespace hypertune

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/json.h"
 #include "sim/driver.h"
 #include "surrogate/benchmarks.h"
 
@@ -163,6 +164,48 @@ TEST(Registry, InfiniteHorizonAshaPromotesPastR) {
     EXPECT_EQ(furthest > bench->R(), name == "asha_infinite")
         << name << " reached " << furthest;
   }
+}
+
+// SupportsSnapshot() is a promise of exact restore: every tuner that makes
+// it, run, snapshotted through text and restored into a fresh instance,
+// must issue the same job stream as the original. The rest must refuse.
+TEST(Registry, SnapshotCapableTunersContinueIdentically) {
+  auto bench = benchmarks::CifarArch(5);
+  TunerParams params;
+  params.n = 64;
+  params.r_divisor = 64;
+  const auto step = [&](Scheduler& tuner) {
+    auto job = tuner.GetJob();
+    if (job) {
+      tuner.ReportResult(*job,
+                         bench->TrueLoss(job->config, job->to_resource));
+    }
+    return job;
+  };
+  int capable = 0;
+  for (const auto& name : TunerNames()) {
+    auto original = MakeTunerByName(name, *bench, params);
+    auto restored = MakeTunerByName(name, *bench, params);
+    if (!original->SupportsSnapshot()) {
+      EXPECT_THROW(original->Snapshot(), CheckError) << name;
+      EXPECT_THROW(restored->Restore(Json(JsonObject{})), CheckError) << name;
+      continue;
+    }
+    ++capable;
+    for (int i = 0; i < 300; ++i) step(*original);
+    restored->Restore(Json::Parse(original->Snapshot().Dump()));
+    for (int i = 0; i < 100; ++i) {
+      const auto a = step(*original);
+      const auto b = step(*restored);
+      if (a.has_value() != b.has_value() ||
+          (a && (a->trial_id != b->trial_id || a->rung != b->rung ||
+                 a->to_resource != b->to_resource || a->config != b->config))) {
+        ADD_FAILURE() << name << " diverges at step " << i;
+        break;
+      }
+    }
+  }
+  EXPECT_GE(capable, 6);
 }
 
 }  // namespace

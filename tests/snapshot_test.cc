@@ -4,11 +4,14 @@
 // fresh instance, and require both to produce byte-identical futures.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
+#include <regex>
 
 #include "common/check.h"
+#include "common/crc32.h"
 #include "core/asha.h"
 #include "core/async_hyperband.h"
 #include "core/hyperband.h"
@@ -16,6 +19,8 @@
 #include "core/sha.h"
 #include "lifecycle/hazards.h"
 #include "lifecycle/lifecycle.h"
+#include "registry/registry.h"
+#include "service/server.h"
 
 namespace hypertune {
 namespace {
@@ -123,6 +128,20 @@ TEST(Snapshot, RestoreRejectsMismatchedBracket) {
   other_options.eta = 4;  // different bracket shape
   AshaScheduler other(MakeRandomSampler(UnitSpace()), other_options);
   EXPECT_THROW(other.Restore(snapshot), CheckError);
+}
+
+TEST(Snapshot, IdentityCheckComparesNumbersByValue) {
+  AshaScheduler original(MakeRandomSampler(UnitSpace()), ToyOptions());
+  const auto job = *original.GetJob();
+  original.ReportResult(job, 0.5);
+  // A writer that types R = 27 as an integer describes the same bracket.
+  std::string text = original.Snapshot().Dump();
+  const std::string as_double = "\"R\":27.0";
+  ASSERT_NE(text.find(as_double), std::string::npos);
+  text.replace(text.find(as_double), as_double.size(), "\"R\":27");
+  AshaScheduler restored(MakeRandomSampler(UnitSpace()), ToyOptions());
+  restored.Restore(Json::Parse(text));
+  EXPECT_EQ(restored.trials().size(), original.trials().size());
 }
 
 TEST(Snapshot, PromotionStateSurvives) {
@@ -378,6 +397,119 @@ TEST(SnapshotFamily, HazardInjectorRoundTripsRngStream) {
       EXPECT_EQ(*plan_a.drop_after, *plan_b.drop_after);
     }
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// Byte pins: the compact Dump() of each snapshot after a fixed script, as
+// (CRC-32, length). Any change to the snapshot format — a key renamed,
+// reordered, added or dropped, a number printed differently — fails here.
+
+/// Drives `scheduler` through a script that leaves completed results,
+/// promotions, lost jobs and jobs still in flight: each step leases one job,
+/// and once four are out (or the scheduler has nothing to lease) the oldest
+/// resolves — every fifth resolution as lost.
+void RunGoldenScript(Scheduler& scheduler, int steps) {
+  std::deque<Job> out;
+  int resolved = 0;
+  for (int step = 0; step < steps; ++step) {
+    const auto job = scheduler.GetJob();
+    if (job) out.push_back(*job);
+    if (out.empty() || (job && out.size() <= 3)) continue;
+    const Job oldest = out.front();
+    out.pop_front();
+    if (++resolved % 5 == 0) {
+      scheduler.ReportLost(oldest);
+    } else {
+      scheduler.ReportResult(oldest, FamilyLoss(scheduler, oldest));
+    }
+  }
+}
+
+struct SnapshotPin {
+  std::uint32_t crc;
+  std::size_t bytes;
+};
+
+void ExpectPinned(const std::string& what, const std::string& dump,
+                  SnapshotPin pin) {
+  EXPECT_EQ(Crc32(dump), pin.crc) << what << " (" << dump.size() << " B)";
+  EXPECT_EQ(dump.size(), pin.bytes) << what;
+}
+
+TEST(SnapshotGolden, SchedulerFamilyBytesArePinned) {
+  const SearchSpace space = UnitSpace();
+  const TunerEnv env{.space = &space, .R = 27};
+  TunerParams params;
+  params.eta = 3;
+  params.r_divisor = 27;
+  params.n = 27;
+  params.seed = 5;
+  const std::map<std::string, SnapshotPin> pins = {
+      {"asha", {1764126278u, 18257}},
+      {"asha_infinite", {3684474910u, 18256}},
+      {"sha", {85331177u, 22259}},
+      {"hyperband", {2390535984u, 18709}},
+      {"async_hyperband", {3487688943u, 19943}},
+      {"random", {3927039279u, 18913}},
+  };
+  for (const auto& [name, pin] : pins) {
+    auto scheduler = MakeTuner(name, env, params);
+    RunGoldenScript(*scheduler, 120);
+    const std::string dump = scheduler->Snapshot().Dump();
+    // The script must leave every kind of state the codec writes.
+    EXPECT_NE(dump.find("\"status\":\"lost\""), std::string::npos) << name;
+    EXPECT_NE(dump.find("\"in_flight\":[{"), std::string::npos) << name;
+    if (name != "random") {
+      EXPECT_TRUE(std::regex_search(dump, std::regex("\"promoted\":\\[\\d")))
+          << name;
+    }
+    ExpectPinned(name, dump, pin);
+  }
+}
+
+TEST(SnapshotGolden, HazardInjectorBytesArePinned) {
+  HazardInjector injector(
+      HazardOptions{.straggler_std = 0.5, .drop_probability = 0.05}, 99);
+  for (int i = 0; i < 7; ++i) injector.Plan(1.0);
+  const std::string dump = injector.Snapshot().Dump();
+  EXPECT_NE(dump.find("\"spare_normal\""), std::string::npos);
+  ExpectPinned("hazards", dump, {425798201u, 125});
+}
+
+TEST(SnapshotGolden, TuningServerBytesArePinned) {
+  AshaScheduler scheduler(MakeRandomSampler(UnitSpace()), ToyOptions());
+  ServerOptions options;
+  options.lease_timeout = 10;
+  TuningServer server(scheduler, options);
+  std::deque<std::int64_t> out;
+  int resolved = 0;
+  for (int step = 0; step < 60; ++step) {
+    const double now = step;
+    Json request = JsonObject{};
+    request.Set("type", Json("request_job"));
+    request.Set("worker", Json(step % 6));
+    const Json reply = server.HandleMessage(request, now);
+    ASSERT_EQ(reply.at("type").AsString(), "job");
+    out.push_back(reply.at("job_id").AsInt());
+    if (out.size() <= 3) continue;
+    const std::int64_t job_id = out.front();
+    out.pop_front();
+    // Every fifth lease is abandoned; its deadline expires it as lost.
+    if (++resolved % 5 == 0) continue;
+    Json report = JsonObject{};
+    report.Set("type", Json("report"));
+    report.Set("worker", Json(0));
+    report.Set("job_id", Json(job_id));
+    report.Set("loss", Json(0.01 * static_cast<double>((job_id * 37) % 101)));
+    server.HandleMessage(report, now);
+  }
+  server.Tick(60);
+  const std::string dump = server.Snapshot().Dump();
+  EXPECT_GT(server.stats().leases_expired, 0u);
+  EXPECT_NE(dump.find("\"leases\":[{"), std::string::npos);
+  EXPECT_TRUE(std::regex_search(dump, std::regex("\"promoted\":\\[\\d")));
+  ExpectPinned("server", dump, {40442876u, 18885});
 }
 
 }  // namespace
