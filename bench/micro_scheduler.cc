@@ -57,17 +57,34 @@ void BM_SyncShaGetJobReportCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_SyncShaGetJobReportCycle);
 
+/// One ASHA report against a rung: record a result, then promote the
+/// rung's answer as AshaScheduler::FindPromotion does.
+void ReportAndPromote(Rung& rung, TrialId id, Rng& rng) {
+  rung.Record(id, rng.Uniform());
+  if (const auto promotable = rung.FirstPromotable(4.0)) {
+    rung.MarkPromoted(*promotable);
+  }
+}
+
 void BM_RungRecordAndQuery(benchmark::State& state) {
+  // The rung is refilled (untimed) every prefill/4 reports, so its size stays
+  // in [prefill, 1.25 * prefill) however many iterations the run picks.
+  const auto prefill = static_cast<TrialId>(state.range(0));
   Rng rng(2);
   Rung rung;
   TrialId next = 0;
   for (auto _ : state) {
-    rung.Record(next++, rng.Uniform());
-    benchmark::DoNotOptimize(rung.FirstPromotable(4.0));
+    if (next == 0 || next == prefill + prefill / 4) {
+      state.PauseTiming();
+      rung = Rung{};
+      for (next = 0; next < prefill; ++next) ReportAndPromote(rung, next, rng);
+      state.ResumeTiming();
+    }
+    ReportAndPromote(rung, next++, rng);
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_RungRecordAndQuery);
+BENCHMARK(BM_RungRecordAndQuery)->Arg(1000)->Arg(16000)->Arg(100000);
 
 void BM_TpeSample(benchmark::State& state) {
   SearchSpace space;

@@ -48,31 +48,29 @@ std::optional<Job> GridSearchScheduler::GetJob() {
   const TrialId id = bank_->Create(std::move(config), /*bracket=*/0);
   Trial& trial = bank_->Get(id);
   trial.status = TrialStatus::kRunning;
-  ++jobs_in_flight_;
   Job job;
   job.trial_id = id;
   job.config = trial.config;
   job.from_resource = 0;
   job.to_resource = options_.R;
+  in_flight_[id] = job;
   return job;
 }
 
 void GridSearchScheduler::ReportResult(const Job& job, double loss) {
-  HT_CHECK(jobs_in_flight_ > 0);
-  --jobs_in_flight_;
+  ResolveInFlight(in_flight_, job);
   bank_->RecordObservation(job.trial_id, job.to_resource, loss);
   bank_->Get(job.trial_id).status = TrialStatus::kCompleted;
   incumbent_.Offer(job.trial_id, loss, job.to_resource);
 }
 
 void GridSearchScheduler::ReportLost(const Job& job) {
-  HT_CHECK(jobs_in_flight_ > 0);
-  --jobs_in_flight_;
+  ResolveInFlight(in_flight_, job);
   bank_->Get(job.trial_id).status = TrialStatus::kLost;
 }
 
 bool GridSearchScheduler::Finished() const {
-  return next_index_ >= GridSize() && jobs_in_flight_ == 0;
+  return next_index_ >= GridSize() && in_flight_.empty();
 }
 
 std::optional<Recommendation> GridSearchScheduler::Current() const {

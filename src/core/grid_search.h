@@ -4,7 +4,7 @@
 // can measure exactly why (grid size explodes as resolution^d).
 #pragma once
 
-#include <cstdint>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -45,7 +45,8 @@ class GridSearchScheduler final : public Scheduler {
   std::shared_ptr<TrialBank> bank_;
   std::vector<std::size_t> dims_;  // points per dimension
   std::size_t next_index_ = 0;
-  std::int64_t jobs_in_flight_ = 0;
+  /// Jobs issued and not yet reported, keyed by trial.
+  std::map<TrialId, Job> in_flight_;
   IncumbentTracker incumbent_;
 };
 

@@ -1,19 +1,22 @@
 // A rung: the set of configurations evaluated at one resource level of a
 // successive-halving bracket, with promotion bookkeeping.
 //
-// Implementation notes: results live in an ordered set keyed by (loss, id),
-// and the promotion candidate set — the best floor(n/eta) entries — is
-// tracked *incrementally* with a boundary iterator plus a count of
-// unpromoted candidates. Large-scale simulations push tens of thousands of
-// results into the bottom rung and call FirstPromotable on every worker
-// request; the incremental index makes that query O(1) when nothing is
-// promotable (the common case in a worker storm) instead of a rescan of a
-// nearly-fully-promoted prefix.
+// Implementation notes: results live in flat arrays split at rank
+// k = floor(n/eta). The k best (loss, id) entries — the promotion
+// candidates — form a max-heap and the rest a min-heap, so a Record moves
+// at most one entry across the split with O(log n) swaps in contiguous
+// memory. The unpromoted candidates sit in a small sorted vector whose
+// best entry is FirstPromotable, and an open-addressed table maps each id
+// to its loss and promotion mark. Large-scale simulations push tens of
+// thousands of results into the bottom rung and ask FirstPromotable on
+// every worker request; both stay O(1) and Record allocates nothing once
+// the arrays have grown. The split binds eta on the first promotion query
+// (until then Record only appends); ordered views (TopK, SortedResults,
+// the snapshot) sort a copy on demand.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -23,34 +26,38 @@ namespace hypertune {
 
 class Rung {
  public:
+  /// A result as ordered in the rung: ascending loss, ties by id.
+  using Entry = std::pair<double, TrialId>;
+
   /// Records a completed evaluation. A trial may appear at most once.
   void Record(TrialId id, double loss);
 
-  bool Contains(TrialId id) const { return recorded_.contains(id); }
+  bool Contains(TrialId id) const { return ids_.Find(id) != nullptr; }
 
   /// Number of recorded results ("|rung k|" in Algorithm 2).
-  std::size_t NumRecorded() const { return results_.size(); }
+  std::size_t NumRecorded() const { return ids_.size(); }
 
   /// Marks a trial as promoted out of this rung. Requires it was recorded
   /// here and not already promoted.
   void MarkPromoted(TrialId id);
 
-  bool IsPromoted(TrialId id) const { return promoted_.contains(id); }
+  bool IsPromoted(TrialId id) const;
 
-  std::size_t NumPromoted() const { return promoted_.size(); }
+  std::size_t NumPromoted() const { return num_promoted_; }
 
   /// Algorithm 2 lines 14-17: the best not-yet-promoted trial among the top
   /// floor(NumRecorded()/eta), if any. `eta` must be >= 2 and must not vary
-  /// across calls on one rung (successive halving uses a fixed eta).
+  /// across calls on one rung (successive halving uses a fixed eta); a new
+  /// eta rebuilds the split in O(n).
   std::optional<TrialId> FirstPromotable(double eta) const;
 
-  /// FirstPromotable(eta).has_value() without building the optional: O(1)
-  /// amortized against the incremental index, allocation-free. Schedulers'
-  /// Finished() checks run this on every worker-loop iteration.
+  /// FirstPromotable(eta).has_value() without building the optional: O(1),
+  /// allocation-free. Schedulers' Finished() checks run this on every
+  /// worker-loop iteration.
   bool HasPromotable(double eta) const;
 
-  /// All promotable trials (best first); used by tests as the oracle the
-  /// incremental index is differential-tested against.
+  /// All promotable trials (best first), from a full sort; used by tests as
+  /// the oracle the incremental index is differential-tested against.
   std::vector<TrialId> PromotableTrials(double eta) const;
 
   /// The best `k` recorded trials (fewer if the rung is smaller), best
@@ -64,33 +71,62 @@ class Rung {
   /// Trial id achieving BestLoss(); -1 when empty.
   TrialId BestTrial() const;
 
-  /// (loss, trial) pairs in ascending loss order (ties by id).
-  const std::set<std::pair<double, TrialId>>& results() const {
-    return results_;
-  }
+  /// Every result in ascending (loss, id) order.
+  std::vector<Entry> SortedResults() const;
 
  private:
-  using ResultSet = std::set<std::pair<double, TrialId>>;
+  /// Open-addressed (linear probing) map from trial id to its loss and
+  /// promotion mark. A rung never forgets a trial, so there is no erase.
+  class IdTable {
+   public:
+    struct Slot {
+      TrialId id = 0;
+      double loss = 0;
+      bool used = false;
+      bool promoted = false;
+    };
 
-  /// (Re)builds the candidate index for the given eta.
+    std::size_t size() const { return size_; }
+    Slot* Find(TrialId id);
+    const Slot* Find(TrialId id) const;
+    /// Adds `id`; returns false if it is already present.
+    bool Insert(TrialId id, double loss);
+
+   private:
+    /// Index of `id`'s slot, or of the empty slot where it would go.
+    std::size_t Probe(TrialId id) const;
+    void Grow();
+
+    static constexpr std::uint64_t kBlock = 8;
+
+    std::vector<Slot> slots_;  // power-of-two size, at most half full
+    int block_shift_ = 64;     // 64 - log2(slots_.size() / kBlock)
+    std::size_t size_ = 0;
+  };
+
+  /// Splits every entry at rank floor(n/eta) and rebuilds `promotable_`.
   void RebuildIndex(double eta) const;
-  /// True when the entry lies strictly inside the current candidate prefix.
-  bool InPrefix(const std::pair<double, TrialId>& entry) const;
+  /// Moves the best non-candidate into the candidate heap.
+  void GrowCandidates() const;
+  void AddPromotable(const Entry& entry) const;
+  /// Removes `entry` from `promotable_`; returns whether it was there.
+  bool RemovePromotable(const Entry& entry) const;
 
-  ResultSet results_;
-  std::map<TrialId, double> recorded_;  // id -> loss (for pair reconstruction)
-  std::set<TrialId> promoted_;
+  IdTable ids_;
+  std::size_t num_promoted_ = 0;
+  Entry best_{};  // running minimum; meaningful once NumRecorded() > 0
 
-  // Incremental candidate index (mutable: maintained lazily on first query).
+  // The split is mutable: it is bound to eta lazily on the first query.
+  // Until then every entry sits unordered in `rest_`.
   mutable bool index_valid_ = false;
   mutable double eta_ = 0;
-  mutable std::size_t k_ = 0;  // floor(NumRecorded / eta)
-  /// Iterator to the rank-k_ element (first non-candidate); results_.end()
-  /// when the set is empty.
-  mutable ResultSet::iterator boundary_;
-  /// Unpromoted entries among the first k_, ordered — FirstPromotable is
-  /// its begin().
-  mutable ResultSet promotable_set_;
+  /// The best floor(n/eta_) entries, a max-heap (front is the worst).
+  mutable std::vector<Entry> candidates_;
+  /// Every other entry, a min-heap (front is the best).
+  mutable std::vector<Entry> rest_;
+  /// Unpromoted candidates in descending order — back() is FirstPromotable,
+  /// so promoting it pops the back.
+  mutable std::vector<Entry> promotable_;
 };
 
 }  // namespace hypertune

@@ -168,7 +168,7 @@ std::map<TrialId, Job> ReadInFlight(const Json& snapshot) {
 Json ToJson(const Rung& rung) {
   Json results = JsonArray{};
   Json promoted = JsonArray{};
-  for (const auto& [loss, id] : rung.results()) {
+  for (const auto& [loss, id] : rung.SortedResults()) {
     Json pair = JsonObject{};
     pair.Set("trial", Json(id));
     pair.Set("loss", Json(loss));

@@ -80,6 +80,45 @@ TEST(GridSearch, LostJobsDoNotBlockCompletion) {
   EXPECT_TRUE(grid.Finished());
 }
 
+GridSearchScheduler UnitGrid(std::size_t resolution) {
+  SearchSpace space;
+  space.Add("x", Domain::Continuous(0.0, 1.0));
+  GridSearchOptions options;
+  options.R = 1;
+  options.resolution = resolution;
+  return GridSearchScheduler(space, options);
+}
+
+TEST(GridSearch, RejectsDuplicateForgedAndAfterLossReports) {
+  GridSearchScheduler grid = UnitGrid(3);
+  const Job first = *grid.GetJob();
+  const Job second = *grid.GetJob();
+  grid.ReportResult(first, 0.5);
+  EXPECT_THROW(grid.ReportResult(first, 0.4), CheckError);  // duplicate
+  EXPECT_THROW(grid.ReportLost(first), CheckError);
+  Job forged = second;
+  forged.trial_id = 99;  // never issued
+  EXPECT_THROW(grid.ReportResult(forged, 0.1), CheckError);
+  forged = second;
+  forged.to_resource = 2;  // not the job issued for this trial
+  EXPECT_THROW(grid.ReportResult(forged, 0.1), CheckError);
+  grid.ReportLost(second);
+  EXPECT_THROW(grid.ReportResult(second, 0.2), CheckError);  // after loss
+  EXPECT_THROW(grid.ReportLost(second), CheckError);
+}
+
+TEST(GridSearch, NotFinishedWhileAJobIsOut) {
+  GridSearchScheduler grid = UnitGrid(2);
+  const Job first = *grid.GetJob();
+  const Job second = *grid.GetJob();
+  EXPECT_FALSE(grid.GetJob().has_value());  // grid exhausted
+  grid.ReportResult(first, 0.5);
+  EXPECT_THROW(grid.ReportResult(first, 0.5), CheckError);
+  EXPECT_FALSE(grid.Finished());  // the second job is still out
+  grid.ReportResult(second, 0.4);
+  EXPECT_TRUE(grid.Finished());
+}
+
 // ---------------------------------------------------------- median rule
 
 std::shared_ptr<ConfigSampler> UnitSampler() {

@@ -113,7 +113,7 @@ TEST_P(AshaInvariants, PromotedTrialsAreTopOfTheirRung) {
     if (rung.NumPromoted() == 0 || rung.NumRecorded() < 4) continue;
     double worst_promoted = -1e18;
     double best_unpromoted = 1e18;
-    for (const auto& [loss, id] : rung.results()) {
+    for (const auto& [loss, id] : rung.SortedResults()) {
       if (rung.IsPromoted(id)) {
         worst_promoted = std::max(worst_promoted, loss);
       } else {
