@@ -1,5 +1,5 @@
 // Microbenchmarks (google-benchmark) of the BO substrate hot paths: full GP
-// fits, the rank-1 append path, batched vs scalar prediction, and parallel
+// fits, the rank-1 append path, batched vs scalar prediction, and batched
 // EI scoring — the operations that decide how much tuner overhead the GP
 // baselines add per completed job. BM_FitPerObservation is the pre-optimization
 // baseline semantics (a from-scratch refit for every new observation);
@@ -131,28 +131,20 @@ void BM_PredictBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_PredictBatch)->Arg(64)->Arg(256)->Arg(512);
 
-/// EI scoring of 512 candidates, single- and multi-threaded. The scores are
-/// bit-identical across thread counts; only the wall-clock changes.
+/// EI scoring of 512 candidates.
 void BM_EiScore(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  const int threads = static_cast<int>(state.range(1));
   const Data data = MakeData(n);
   GaussianProcess gp;
   gp.Fit(data.x, data.y);
   const auto candidates = MakeCandidates(512);
   for (auto _ : state) {
-    const auto scores = ScoreEiBatch(gp, candidates, 0.3, threads);
+    const auto scores = ScoreEiBatch(gp, candidates, 0.3);
     benchmark::DoNotOptimize(scores[ArgMaxScore(scores)]);
   }
   state.SetItemsProcessed(state.iterations() * 512);
 }
-BENCHMARK(BM_EiScore)
-    ->Args({64, 1})
-    ->Args({64, 4})
-    ->Args({256, 1})
-    ->Args({256, 4})
-    ->Args({512, 1})
-    ->Args({512, 4});
+BENCHMARK(BM_EiScore)->Arg(64)->Arg(256)->Arg(512);
 
 }  // namespace
 }  // namespace hypertune

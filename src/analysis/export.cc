@@ -1,7 +1,5 @@
 #include "analysis/export.h"
 
-#include <cstdio>
-
 #include "common/check.h"
 #include "common/table.h"
 
@@ -13,14 +11,6 @@ Json SeriesToJson(const std::vector<double>& xs) {
   Json array = JsonArray{};
   for (double x : xs) array.PushBack(Json(x));
   return array;
-}
-
-/// Round-trippable double cell ("%.17g", same fidelity as the JSON dumper —
-/// FormatDouble's fixed precision would truncate timestamps).
-std::string NumberCell(double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
 }
 
 }  // namespace
@@ -60,21 +50,6 @@ RunRecord RunRecordFromJson(const Json& json) {
     record.worker = static_cast<int>(json.at("worker").AsInt());
   }
   return record;
-}
-
-std::string RunRecordsCsv(const std::vector<RunRecord>& records) {
-  TextTable table({"time", "trial", "from", "to", "loss", "rung", "bracket",
-                   "dropped", "start", "queue_wait", "worker"});
-  for (const auto& record : records) {
-    table.AddRow({NumberCell(record.end_time), std::to_string(record.trial_id),
-                  NumberCell(record.from_resource),
-                  NumberCell(record.to_resource), NumberCell(record.loss),
-                  std::to_string(record.rung), std::to_string(record.bracket),
-                  record.lost ? "1" : "0", NumberCell(record.start_time),
-                  NumberCell(record.queue_wait),
-                  std::to_string(record.worker)});
-  }
-  return table.ToCsv();
 }
 
 Json ToJson(const DriverResult& result) {

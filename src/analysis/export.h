@@ -1,4 +1,4 @@
-// JSON/CSV export and import of tuning artifacts: configurations, trials,
+// JSON export and import of tuning artifacts: configurations, trials,
 // run records, driver runs, and aggregated experiment results. The "ML
 // glue" layer — results can be archived, diffed, and re-loaded for offline
 // analysis without rerunning simulations.
@@ -28,12 +28,6 @@ Json ToJson(const RunRecord& record);
 /// Inverse of ToJson(RunRecord). The lifecycle-era keys are optional so
 /// documents written before the unified record still load.
 RunRecord RunRecordFromJson(const Json& json);
-
-/// RunRecords -> CSV. The first eight columns
-/// (time,trial,from,to,loss,rung,bracket,dropped) match the legacy
-/// completion-record layout so existing notebooks keep parsing; the
-/// lifecycle-era columns (start,queue_wait,worker) are appended after.
-std::string RunRecordsCsv(const std::vector<RunRecord>& records);
 
 /// Driver run -> JSON (completions + recommendation history + totals).
 Json ToJson(const DriverResult& result);

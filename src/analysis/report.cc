@@ -62,18 +62,4 @@ TextTable SummaryTable(const std::vector<MethodResult>& methods,
   return table;
 }
 
-TextTable TimeToTargetTable(const std::vector<MethodResult>& methods,
-                            double target, const std::string& time_label,
-                            int precision) {
-  TextTable table({"method", "mean " + time_label + " to reach " +
-                                 FormatDouble(target, 4)});
-  for (const auto& method : methods) {
-    const double t = MeanTimeToReach(method.trajectories, target);
-    table.AddRow({method.method,
-                  std::isnan(t) ? std::string("never") :
-                                  FormatDouble(t, precision)});
-  }
-  return table;
-}
-
 }  // namespace hypertune

@@ -20,12 +20,6 @@ TextTable SeriesTable(const std::vector<MethodResult>& methods,
 TextTable SummaryTable(const std::vector<MethodResult>& methods,
                        const std::string& metric_label, int precision = 4);
 
-/// Time each method first reaches `target` (mean over trials); "never" when
-/// some trial misses it.
-TextTable TimeToTargetTable(const std::vector<MethodResult>& methods,
-                            double target, const std::string& time_label,
-                            int precision = 1);
-
 /// Renders NaN-safe fixed-precision numbers ("-" for NaN).
 std::string FormatMetric(double value, int precision);
 

@@ -47,12 +47,4 @@ Trajectory TestMetricTrajectory(const DriverResult& result,
   return trajectory;
 }
 
-Trajectory ValidationLossTrajectory(const DriverResult& result) {
-  Trajectory trajectory;
-  for (const auto& rec : result.recommendations) {
-    trajectory.Add(rec.time, rec.loss);
-  }
-  return trajectory;
-}
-
 }  // namespace hypertune

@@ -40,7 +40,4 @@ Trajectory TestMetricTrajectory(const DriverResult& result,
                                 const TrialBank& trials,
                                 const SyntheticBenchmark& benchmark);
 
-/// Same, but with the tuner-visible validation loss (used for diagnostics).
-Trajectory ValidationLossTrajectory(const DriverResult& result);
-
 }  // namespace hypertune

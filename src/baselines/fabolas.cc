@@ -12,8 +12,7 @@ FabolasScheduler::FabolasScheduler(SearchSpace space, FabolasOptions options)
     : space_(std::move(space)),
       options_(options),
       bank_(std::make_shared<TrialBank>()),
-      rng_(options.seed),
-      gp_(options.gp) {
+      rng_(options.seed) {
   HT_CHECK(options_.R > 0);
   HT_CHECK(!options_.fidelities.empty());
   HT_CHECK(options_.fidelities.size() == options_.fidelity_repeats.size());
@@ -99,8 +98,7 @@ std::optional<Job> FabolasScheduler::GetJob() {
       for (auto& u : candidate) u = rng_.Uniform();
       augmented.push_back(Augment(candidate, 1.0));
     }
-    const auto scores =
-        ScoreEiBatch(gp_, augmented, best_predicted, options_.num_threads);
+    const auto scores = ScoreEiBatch(gp_, augmented, best_predicted);
     point = std::move(candidates[ArgMaxScore(scores)]);
   }
 

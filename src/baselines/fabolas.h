@@ -35,11 +35,6 @@ struct FabolasOptions {
   std::size_t candidates_per_suggest = 128;
   std::size_t refit_every = 10;
   std::size_t max_gp_points = 200;
-  /// Threads for EI scoring over the candidate batch; 1 runs inline.
-  /// Scores are bit-identical at any setting, so seeded decisions never
-  /// depend on it.
-  int num_threads = 1;
-  GpOptions gp;
   std::uint64_t seed = 1;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 #include "common/check.h"
 #include "common/stats.h"
@@ -13,8 +12,7 @@ VizierScheduler::VizierScheduler(SearchSpace space, VizierOptions options)
     : space_(std::move(space)),
       options_(options),
       bank_(std::make_shared<TrialBank>()),
-      rng_(options.seed),
-      gp_(options.gp) {
+      rng_(options.seed) {
   HT_CHECK(options_.R > 0);
   HT_CHECK(options_.num_initial_random >= 2);
   HT_CHECK(options_.candidates_per_suggest > 0);
@@ -34,20 +32,10 @@ void VizierScheduler::RefitIfStale() {
   if (n <= options_.max_gp_points) {
     chosen.resize(n);
     for (std::size_t i = 0; i < n; ++i) chosen[i] = i;
-  } else if (options_.robust_subsample) {
-    // Outlier-robust variant: best half + most recent half of the cap.
-    std::set<std::size_t> picked;
-    const auto order = ArgsortAscending(completed_y_);
-    const std::size_t half = options_.max_gp_points / 2;
-    for (std::size_t i = 0; i < half; ++i) picked.insert(order[i]);
-    for (std::size_t i = n; i-- > 0 && picked.size() < options_.max_gp_points;) {
-      picked.insert(i);
-    }
-    chosen.assign(picked.begin(), picked.end());
   } else {
-    // Faithful default: the most recent window, outliers and all — a GP
-    // fit on raw heavy-tailed losses degrades exactly as the paper reports
-    // for Vizier on PTB (Section 4.3).
+    // The most recent window, outliers and all — a GP fit on raw
+    // heavy-tailed losses degrades exactly as the paper reports for Vizier
+    // on PTB (Section 4.3).
     for (std::size_t i = n - options_.max_gp_points; i < n; ++i) {
       chosen.push_back(i);
     }
@@ -87,7 +75,7 @@ std::vector<double> VizierScheduler::SuggestPoint() {
     return u;
   }
   return SuggestByEi(gp_, d, best_loss_, options_.candidates_per_suggest,
-                     rng_, options_.num_threads);
+                     rng_);
 }
 
 std::optional<Job> VizierScheduler::GetJob() {

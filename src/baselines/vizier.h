@@ -7,9 +7,9 @@
 // implements the published algorithm family it defaults to (GP bandit over
 // the unit hypercube with batched suggestions). To keep the O(n^3) GP
 // tractable at 500 workers the model is refit every `refit_every`
-// completions on at most `max_gp_points` observations (the best half plus
-// the most recent half) — a standard scalability compromise that production
-// services also make.
+// completions on at most `max_gp_points` observations (the most recent
+// window) — a standard scalability compromise that production services
+// also make.
 #pragma once
 
 #include <cstdint>
@@ -34,22 +34,13 @@ struct VizierOptions {
   std::size_t candidates_per_suggest = 128;
   /// Completions between GP refits.
   std::size_t refit_every = 25;
-  /// Max observations in a fit.
+  /// Max observations in a fit: the most recent window. Heavy-tailed
+  /// outliers stay in the training set and wreck the standardized GP,
+  /// reproducing the degradation the paper reports on PTB (Section 4.3).
   std::size_t max_gp_points = 200;
-  /// How the fit window is chosen once observations exceed max_gp_points.
-  /// false (faithful): the most recent window — heavy-tailed outliers stay
-  /// in the training set and wreck the standardized GP, reproducing the
-  /// degradation the paper reports on PTB (Section 4.3). true: keep the
-  /// best half + most recent half, an outlier-robust variant.
-  bool robust_subsample = false;
   /// Losses are clipped here before entering the model; the paper tried
   /// capping PTB perplexities at 1000 to help Vizier (Section 4.3).
   double loss_cap = std::numeric_limits<double>::infinity();
-  /// Threads for EI scoring over the candidate batch. 1 (the default) runs
-  /// inline; higher values split the batch across threads with bit-identical
-  /// scores, so seeded runs make the same decisions at any setting.
-  int num_threads = 1;
-  GpOptions gp;
   std::uint64_t seed = 1;
 };
 

@@ -4,7 +4,6 @@
 #include <numbers>
 
 #include "common/check.h"
-#include "runtime/parallel.h"
 
 namespace hypertune {
 
@@ -24,24 +23,13 @@ double ExpectedImprovement(double mean, double variance, double best) {
 
 std::vector<double> ScoreEiBatch(
     const GaussianProcess& gp, std::span<const std::vector<double>> candidates,
-    double best_observed, int num_threads) {
-  HT_CHECK_MSG(gp.IsFit(), "ScoreEiBatch called before Fit");
-  if (candidates.empty()) return {};
-  // Validate up front: ParallelFor workers must not throw.
-  const std::size_t d = candidates.front().size();
-  for (const auto& candidate : candidates) HT_CHECK(candidate.size() == d);
-
-  std::vector<double> scores(candidates.size());
-  ParallelFor(candidates.size(), num_threads,
-              [&](std::size_t begin, std::size_t end) {
-                const auto predictions =
-                    gp.PredictBatch(candidates.subspan(begin, end - begin));
-                for (std::size_t i = 0; i < predictions.size(); ++i) {
-                  scores[begin + i] = ExpectedImprovement(
-                      predictions[i].mean, predictions[i].variance,
-                      best_observed);
-                }
-              });
+    double best_observed) {
+  const auto predictions = gp.PredictBatch(candidates);
+  std::vector<double> scores(predictions.size());
+  for (std::size_t i = 0; i < predictions.size(); ++i) {
+    scores[i] = ExpectedImprovement(predictions[i].mean,
+                                    predictions[i].variance, best_observed);
+  }
   return scores;
 }
 
@@ -56,8 +44,7 @@ std::size_t ArgMaxScore(std::span<const double> scores) {
 
 std::vector<double> SuggestByEi(const GaussianProcess& gp, std::size_t dim,
                                 double best_observed,
-                                std::size_t num_candidates, Rng& rng,
-                                int num_threads) {
+                                std::size_t num_candidates, Rng& rng) {
   HT_CHECK(dim > 0 && num_candidates > 0);
   // Draw all candidates first (same stream order as scoring them one by
   // one), then score in one batched pass.
@@ -66,7 +53,7 @@ std::vector<double> SuggestByEi(const GaussianProcess& gp, std::size_t dim,
   for (auto& candidate : candidates) {
     for (auto& u : candidate) u = rng.Uniform();
   }
-  const auto scores = ScoreEiBatch(gp, candidates, best_observed, num_threads);
+  const auto scores = ScoreEiBatch(gp, candidates, best_observed);
   return candidates[ArgMaxScore(scores)];
 }
 

@@ -18,14 +18,12 @@ double NormalCdf(double z);
 /// max(best - mean, 0).
 double ExpectedImprovement(double mean, double variance, double best);
 
-/// EI of every candidate under the GP posterior, computed with batched
-/// prediction (one multi-RHS solve per chunk). With num_threads > 1 the
-/// candidate range is split across threads; each candidate's score is
-/// bit-identical to the single-threaded (and scalar-Predict) result, so
-/// thread count never changes tuning decisions.
+/// EI of every candidate under the GP posterior, computed with one batched
+/// prediction (one multi-RHS solve). Each candidate's score is
+/// bit-identical to the scalar-Predict result.
 std::vector<double> ScoreEiBatch(const GaussianProcess& gp,
                                  std::span<const std::vector<double>> candidates,
-                                 double best_observed, int num_threads = 1);
+                                 double best_observed);
 
 /// Index of the maximum score; ties resolve to the lowest index (matching a
 /// first-strictly-greater sequential scan). Requires non-empty scores.
@@ -33,11 +31,9 @@ std::size_t ArgMaxScore(std::span<const double> scores);
 
 /// Maximizes EI over `num_candidates` uniform random points in [0,1]^dim
 /// (random-search acquisition optimization, as production GP services do at
-/// scale). Returns the best candidate point. `num_threads` parallelizes the
-/// scoring only; the result is identical for every thread count.
+/// scale). Returns the best candidate point.
 std::vector<double> SuggestByEi(const GaussianProcess& gp, std::size_t dim,
                                 double best_observed,
-                                std::size_t num_candidates, Rng& rng,
-                                int num_threads = 1);
+                                std::size_t num_candidates, Rng& rng);
 
 }  // namespace hypertune

@@ -1,5 +1,6 @@
 #include "bo/gp.h"
 
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <numbers>
@@ -14,10 +15,8 @@ namespace {
 
 constexpr double kJitter = 1e-8;
 
-std::unique_ptr<Kernel> MakeKernel(bool matern, double lengthscale) {
-  if (matern) return std::make_unique<Matern52Kernel>(lengthscale);
-  return std::make_unique<RbfKernel>(lengthscale);
-}
+/// Lengthscale candidates tried by marginal likelihood when fitting.
+constexpr std::array<double, 5> kLengthscaleGrid = {0.1, 0.2, 0.35, 0.6, 1.0};
 
 double SecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -28,14 +27,10 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 }  // namespace
 
 GaussianProcess::GaussianProcess(GpOptions options)
-    : options_(std::move(options)) {
+    : options_(std::move(options)),
+      grid_kernels_(kLengthscaleGrid.begin(), kLengthscaleGrid.end()),
+      grid_fits_(kLengthscaleGrid.size()) {
   HT_CHECK(options_.noise_variance > 0);
-  HT_CHECK(!options_.lengthscale_grid.empty());
-  grid_kernels_.reserve(options_.lengthscale_grid.size());
-  for (double lengthscale : options_.lengthscale_grid) {
-    grid_kernels_.push_back(MakeKernel(options_.matern, lengthscale));
-  }
-  grid_fits_.resize(options_.lengthscale_grid.size());
 }
 
 void GaussianProcess::SetTelemetry(Telemetry* telemetry) {
@@ -105,8 +100,8 @@ void GaussianProcess::SelectBest() {
     }
   }
   best_index_ = best;
-  lengthscale_ = options_.lengthscale_grid[best];
-  kernel_ = grid_kernels_[best].get();
+  lengthscale_ = kLengthscaleGrid[best];
+  kernel_ = &grid_kernels_[best];
   lml_ = grid_fits_[best].lml;
 }
 
@@ -134,7 +129,7 @@ void GaussianProcess::AppendObservation(std::vector<double> x, double y) {
 
   std::vector<double> k_new(n);
   for (std::size_t g = 0; g < grid_fits_.size(); ++g) {
-    const Kernel& kernel = *grid_kernels_[g];
+    const Matern52Kernel& kernel = grid_kernels_[g];
     GridFit& fit = grid_fits_[g];
     for (std::size_t i = 0; i < n; ++i) {
       k_new[i] = kernel.FromSquaredDistance(d2_row[i]);
@@ -188,7 +183,7 @@ void GaussianProcess::Fit(std::vector<std::vector<double>> x,
   Standardize();
 
   // Pairwise squared distances, computed once and shared by the whole
-  // lengthscale grid (both kernel families are functions of d2 alone).
+  // lengthscale grid (the kernel is a function of d2 alone).
   d2_rows_.clear();
   d2_rows_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -200,7 +195,7 @@ void GaussianProcess::Fit(std::vector<std::vector<double>> x,
 
   TriangularMatrix k(n);
   for (std::size_t g = 0; g < grid_fits_.size(); ++g) {
-    const Kernel& kernel = *grid_kernels_[g];
+    const Matern52Kernel& kernel = grid_kernels_[g];
     for (std::size_t i = 0; i < n; ++i) {
       const double* d2_row = d2_rows_[i].data();
       double* k_row = k.Row(i);

@@ -1,6 +1,7 @@
-// Gaussian-process regression with internal target standardization and a
-// small lengthscale grid search by marginal likelihood — the workhorse of
-// the Vizier-like and Fabolas-like baselines.
+// Gaussian-process regression with a Matern 5/2 kernel, internal target
+// standardization and a fixed five-point lengthscale grid searched by
+// marginal likelihood — the workhorse of the Vizier-like and Fabolas-like
+// baselines.
 //
 // Incremental-refit contract (DESIGN.md "BO substrate"): the GP retains one
 // Cholesky factorization per lengthscale in the grid, plus the pairwise
@@ -15,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -36,10 +36,6 @@ struct GpPrediction {
 struct GpOptions {
   /// Observation noise variance (on standardized targets).
   double noise_variance = 1e-4;
-  /// Lengthscale candidates tried by marginal likelihood when fitting.
-  std::vector<double> lengthscale_grid = {0.1, 0.2, 0.35, 0.6, 1.0};
-  /// Kernel family: true = Matern 5/2, false = RBF.
-  bool matern = true;
 };
 
 /// Cumulative cost accounting for one GP instance: how many fits took the
@@ -115,7 +111,7 @@ class GaussianProcess {
   void RecordFit(bool full, std::int64_t appended, double seconds);
 
   GpOptions options_;
-  std::vector<std::unique_ptr<Kernel>> grid_kernels_;  // one per grid entry
+  std::vector<Matern52Kernel> grid_kernels_;  // one per grid lengthscale
   std::vector<std::vector<double>> x_;
   std::vector<double> y_raw_;
   std::vector<double> y_standardized_;
@@ -123,12 +119,12 @@ class GaussianProcess {
   /// |x_i - x_j|^2 for j <= i. Computed once per full fit, extended by one
   /// row per append, shared by the whole lengthscale grid.
   std::vector<std::vector<double>> d2_rows_;
-  std::vector<GridFit> grid_fits_;  // parallel to options_.lengthscale_grid
+  std::vector<GridFit> grid_fits_;  // parallel to grid_kernels_
   std::size_t best_index_ = 0;
   double y_mean_ = 0;
   double y_std_ = 1;
   double lengthscale_ = 0.35;
-  const Kernel* kernel_ = nullptr;  // grid_kernels_[best_index_]
+  const Matern52Kernel* kernel_ = nullptr;  // &grid_kernels_[best_index_]
   double lml_ = 0;
 
   GpFitStats stats_;

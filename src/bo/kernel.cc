@@ -7,31 +7,19 @@
 
 namespace hypertune {
 
-double Kernel::operator()(std::span<const double> a,
-                          std::span<const double> b) const {
-  return FromSquaredDistance(SquaredDistance(a, b));
-}
-
-RbfKernel::RbfKernel(double lengthscale, double signal_variance)
-    : lengthscale_(lengthscale), signal_variance_(signal_variance) {
-  HT_CHECK(lengthscale > 0 && signal_variance > 0);
-}
-
-double RbfKernel::FromSquaredDistance(double d2) const {
-  return signal_variance_ *
-         std::exp(-d2 / (2.0 * lengthscale_ * lengthscale_));
-}
-
-Matern52Kernel::Matern52Kernel(double lengthscale, double signal_variance)
-    : lengthscale_(lengthscale), signal_variance_(signal_variance) {
-  HT_CHECK(lengthscale > 0 && signal_variance > 0);
+Matern52Kernel::Matern52Kernel(double lengthscale) : lengthscale_(lengthscale) {
+  HT_CHECK(lengthscale > 0);
 }
 
 double Matern52Kernel::FromSquaredDistance(double d2) const {
   const double d = std::sqrt(d2) / lengthscale_;
   const double sqrt5_d = std::sqrt(5.0) * d;
-  return signal_variance_ * (1.0 + sqrt5_d + 5.0 * d * d / 3.0) *
-         std::exp(-sqrt5_d);
+  return (1.0 + sqrt5_d + 5.0 * d * d / 3.0) * std::exp(-sqrt5_d);
+}
+
+double Matern52Kernel::operator()(std::span<const double> a,
+                                  std::span<const double> b) const {
+  return FromSquaredDistance(SquaredDistance(a, b));
 }
 
 }  // namespace hypertune

@@ -1,52 +1,32 @@
-// Covariance kernels for GP regression over the unit hypercube.
+// The GP's covariance kernel over the unit hypercube: Matern 5/2, the
+// standard choice for hyperparameter response surfaces (twice
+// differentiable but less smooth than RBF), as Vizier-style GP bandits use.
 //
-// Both families are stationary and isotropic: k(a, b) is a function of the
+// The kernel is stationary and isotropic: k(a, b) is a function of the
 // squared distance |a - b|^2 alone. The GP exploits this by computing the
 // pairwise squared-distance matrix once per fit and evaluating every
 // lengthscale in its grid through FromSquaredDistance — the distances never
 // need recomputing when only the lengthscale changes.
 #pragma once
 
-#include <memory>
 #include <span>
 
 namespace hypertune {
 
-class Kernel {
+/// Unit signal variance: (1 + sqrt(5) d + 5 d^2 / 3) exp(-sqrt(5) d) with
+/// d = |a - b| / lengthscale.
+class Matern52Kernel {
  public:
-  virtual ~Kernel() = default;
+  explicit Matern52Kernel(double lengthscale);
 
   /// k(a, b) as a function of d2 = |a - b|^2. This is the primitive;
   /// operator() is the convenience wrapper that computes d2 first.
-  virtual double FromSquaredDistance(double d2) const = 0;
+  double FromSquaredDistance(double d2) const;
 
   double operator()(std::span<const double> a, std::span<const double> b) const;
-};
-
-/// Squared-exponential: sigma_f^2 * exp(-|a-b|^2 / (2 l^2)).
-class RbfKernel final : public Kernel {
- public:
-  RbfKernel(double lengthscale, double signal_variance = 1.0);
-  double FromSquaredDistance(double d2) const override;
-  double lengthscale() const { return lengthscale_; }
 
  private:
   double lengthscale_;
-  double signal_variance_;
-};
-
-/// Matern 5/2 — the standard choice for hyperparameter response surfaces
-/// (twice differentiable but less smooth than RBF); used by Vizier-style
-/// GP bandits.
-class Matern52Kernel final : public Kernel {
- public:
-  Matern52Kernel(double lengthscale, double signal_variance = 1.0);
-  double FromSquaredDistance(double d2) const override;
-  double lengthscale() const { return lengthscale_; }
-
- private:
-  double lengthscale_;
-  double signal_variance_;
 };
 
 }  // namespace hypertune

@@ -8,11 +8,19 @@
 
 namespace hypertune {
 
+namespace {
+
+/// Candidates drawn from the good KDE per suggestion.
+constexpr std::size_t kNumCandidates = 32;
+/// BOHB widens KDE bandwidths by this factor to keep exploring.
+constexpr double kBandwidthFactor = 3.0;
+
+}  // namespace
+
 TpeSampler::TpeSampler(SearchSpace space, TpeOptions options)
     : space_(std::move(space)), options_(options) {
   HT_CHECK(options_.top_fraction > 0 && options_.top_fraction < 1);
   HT_CHECK(options_.random_fraction >= 0 && options_.random_fraction <= 1);
-  HT_CHECK(options_.num_candidates > 0);
 }
 
 std::size_t TpeSampler::MinPoints() const {
@@ -58,9 +66,8 @@ const TpeSampler::LevelModel& TpeSampler::ModelFor(LevelData& level) const {
     }
   }
   level.model = std::make_unique<LevelModel>(LevelModel{
-      KernelDensityEstimator(std::move(good), 1e-3, options_.bandwidth_factor),
-      KernelDensityEstimator(std::move(bad), 1e-3,
-                             options_.bandwidth_factor)});
+      KernelDensityEstimator(std::move(good), 1e-3, kBandwidthFactor),
+      KernelDensityEstimator(std::move(bad), 1e-3, kBandwidthFactor)});
   return *level.model;
 }
 
@@ -77,7 +84,7 @@ Configuration TpeSampler::Sample(Rng& rng) {
 
   std::vector<double> best_point;
   double best_ratio = -1;
-  for (std::size_t c = 0; c < options_.num_candidates; ++c) {
+  for (std::size_t c = 0; c < kNumCandidates; ++c) {
     auto candidate = good_kde.Sample(rng);
     const double g = good_kde.Pdf(candidate);
     const double b = std::max(bad_kde.Pdf(candidate), 1e-32);

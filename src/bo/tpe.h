@@ -28,10 +28,6 @@ struct TpeOptions {
   /// Minimum observations at a level before its model is used; defaults to
   /// dim + 1 when 0.
   std::size_t min_points = 0;
-  /// Candidates drawn from the good KDE per suggestion.
-  std::size_t num_candidates = 32;
-  /// BOHB widens KDE bandwidths by this factor to keep exploring.
-  double bandwidth_factor = 3.0;
 };
 
 class TpeSampler final : public ConfigSampler {

@@ -86,6 +86,12 @@ DurableServer::DurableServer(Scheduler& scheduler,
                              DurabilityOptions durability)
     : server_(scheduler, WithJournal(std::move(server_options), this)),
       durability_(std::move(durability)) {
+  // Compaction snapshots the scheduler every snapshot_every records; one
+  // that cannot snapshot would throw mid-message after its grant was
+  // already journaled, so refuse it before anything touches the disk.
+  HT_CHECK_MSG(scheduler.SupportsSnapshot(),
+               "durable serving needs a scheduler that supports snapshots; "
+                   << scheduler.name() << " does not");
   HT_CHECK_MSG(!durability_.dir.empty(), "DurabilityOptions::dir is required");
   HT_CHECK(durability_.snapshot_every > 0);
   std::filesystem::create_directories(durability_.dir);
@@ -173,7 +179,7 @@ Json DurableServer::HandleMessage(const Json& message, double now) {
     // their records buffer — so in-flight work is not thrown away.
     ++stats_.grants_denied;
     Count("durability.grants_denied");
-    Json reply = NoJobReply(durability_.degraded_retry_after);
+    Json reply = NoJobReply(kDegradedRetryAfter);
     reply.Set("degraded", Json(true));
     return reply;
   }

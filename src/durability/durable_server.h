@@ -39,6 +39,9 @@ namespace hypertune {
 
 class Telemetry;
 
+/// retry_after (seconds) in grant denials while degraded.
+inline constexpr double kDegradedRetryAfter = 5.0;
+
 struct DurabilityOptions {
   /// Directory holding snapshots and journals. Created if absent.
   std::string dir;
@@ -47,8 +50,6 @@ struct DurabilityOptions {
   std::size_t sync_every = 64;
   /// Take a compacting snapshot after this many journaled records.
   std::size_t snapshot_every = 1024;
-  /// retry_after (seconds) in grant denials while degraded.
-  double degraded_retry_after = 5.0;
   /// File-op seam for journal + snapshot writes (fault injection); null =
   /// real syscalls.
   FileOps* file_ops = nullptr;
@@ -101,6 +102,8 @@ struct DurabilityStats {
 class DurableServer final : public MessageService, public LeaseEventSink {
  public:
   /// `server_options.journal` must be unset; DurableServer installs itself.
+  /// CheckError unless `scheduler.SupportsSnapshot()`: compaction
+  /// snapshots it.
   DurableServer(Scheduler& scheduler, ServerOptions server_options,
                 DurabilityOptions durability);
 

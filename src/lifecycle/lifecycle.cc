@@ -78,29 +78,19 @@ void AppendJobSpanName(std::string& out, const Job& job) {
   out += std::to_string(job.rung);
 }
 
-void EmitJobSpan(Telemetry* telemetry, SpanProfile profile, const Job& job,
-                 bool lost, double loss, const RunTiming& timing,
-                 std::string* scratch) {
+void EmitJobSpan(Telemetry* telemetry, const Job& job, bool lost, double loss,
+                 const RunTiming& timing, std::string* scratch) {
   if (telemetry == nullptr) return;
   Json args = JsonObject{};
   args.Set("trial", Json(job.trial_id));
   args.Set("rung", Json(job.rung));
-  if (profile == SpanProfile::kFull) {
-    args.Set("bracket", Json(job.bracket));
-    args.Set("from_resource", Json(job.from_resource));
-    args.Set("to_resource", Json(job.to_resource));
-    if (lost) {
-      args.Set("dropped", Json(true));
-    } else {
-      args.Set("loss", Json(loss));
-    }
+  args.Set("bracket", Json(job.bracket));
+  args.Set("from_resource", Json(job.from_resource));
+  args.Set("to_resource", Json(job.to_resource));
+  if (lost) {
+    args.Set("dropped", Json(true));
   } else {
-    args.Set("to_resource", Json(job.to_resource));
-    if (lost) {
-      args.Set("lost", Json(true));
-    } else {
-      args.Set("loss", Json(loss));
-    }
+    args.Set("loss", Json(loss));
   }
   std::string local;
   std::string& name = scratch != nullptr ? *scratch : local;
@@ -113,13 +103,9 @@ TrialLifecycle::TrialLifecycle(Scheduler& scheduler, LifecycleOptions options)
     : scheduler_(scheduler), options_(options) {}
 
 std::optional<LeasedJob> TrialLifecycle::Acquire() {
-  auto job = scheduler_.GetJob();
-  if (!job) return std::nullopt;
   // Built in the return slot (NRVO): the Job is moved exactly once.
   std::optional<LeasedJob> leased(std::in_place);
-  leased->lease_id = next_lease_id_++;
-  leased->job = *std::move(job);
-  pending_.Insert(leased->lease_id);
+  if (!AcquireInto(*leased)) leased.reset();
   return leased;
 }
 
@@ -167,8 +153,8 @@ void TrialLifecycle::Resolve(const LeasedJob& lease, bool lost, double loss,
   }
   if (options_.telemetry != nullptr) {
     if (options_.emit_spans) {
-      EmitJobSpan(options_.telemetry, SpanProfile::kFull, lease.job, lost,
-                  loss, timing, &span_name_);
+      EmitJobSpan(options_.telemetry, lease.job, lost, loss, timing,
+                  &span_name_);
     }
     const char* const counter_name =
         lost ? options_.lost_counter : options_.completed_counter;

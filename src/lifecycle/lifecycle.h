@@ -95,21 +95,10 @@ struct RunTiming {
   int worker = -1;
 };
 
-/// Which argument set a job span carries. Backends historically emitted
-/// slightly different sets; decision-identity dumps pin them, so the
-/// profile is explicit rather than silently unified.
-enum class SpanProfile {
-  /// trial, rung, bracket, from_resource, to_resource, loss | dropped
-  /// (the simulator's profile).
-  kFull,
-  /// trial, rung, to_resource, loss | lost (the thread pool's profile).
-  kCompact,
-};
-
 struct LifecycleOptions {
   /// Optional observability sink (not owned; must outlive the lifecycle).
   Telemetry* telemetry = nullptr;
-  /// Emit one job span (SpanProfile::kFull) per resolution inside
+  /// Emit one job span (see EmitJobSpan) per resolution inside
   /// Complete/Lose, plus a "recommendation" trace instant on each incumbent
   /// change when track_recommendations is on. Backends that must emit
   /// outside their lock leave this off and call EmitJobSpan themselves.
@@ -136,11 +125,12 @@ void ValidateReportedLoss(double loss);
 /// first) without allocating temporaries — hot paths reuse one buffer.
 void AppendJobSpanName(std::string& out, const Job& job);
 
-/// Emits one job span on the executing worker's track. `scratch` (optional)
-/// is reused for the span name. Safe to call from any thread.
-void EmitJobSpan(Telemetry* telemetry, SpanProfile profile, const Job& job,
-                 bool lost, double loss, const RunTiming& timing,
-                 std::string* scratch = nullptr);
+/// Emits one job span on the executing worker's track, with arguments
+/// trial, rung, bracket, from_resource, to_resource and loss (or
+/// dropped: true). `scratch` (optional) is reused for the span name. Safe
+/// to call from any thread.
+void EmitJobSpan(Telemetry* telemetry, const Job& job, bool lost, double loss,
+                 const RunTiming& timing, std::string* scratch = nullptr);
 
 class TrialLifecycle final {
  public:
@@ -153,11 +143,10 @@ class TrialLifecycle final {
   /// when the scheduler has no work right now.
   std::optional<LeasedJob> Acquire();
 
-  /// Hot-path variant of Acquire: writes the lease into `out` (reusing its
-  /// Configuration capacity — the simulator keeps one slot per worker)
+  /// Acquire into a caller-owned slot: writes the lease into `out` (reusing
+  /// its Configuration capacity — the simulator keeps one slot per worker)
   /// instead of materializing a fresh optional. Returns false, leaving
-  /// `out` untouched, when no work is available. Identical semantics
-  /// otherwise.
+  /// `out` untouched, when no work is available.
   bool AcquireInto(LeasedJob& out);
 
   /// Resolves a lease with a (finite) loss: validates exactly-once,

@@ -246,7 +246,7 @@ struct NetServer::Loop {
       if (Telemetry* telemetry = server.options_.telemetry) {
         telemetry->Count("net.requests_shed");
       }
-      Json shed = NoJobReply(server.options_.shed_retry_after);
+      Json shed = NoJobReply(kShedRetryAfter);
       shed.Set("shed", Json(true));
       Enqueue(conn, EncodeReply(conn, shed, now));
       return;

@@ -51,6 +51,9 @@ class SocketIo;
 /// Where HandleMessage's `now` comes from (see file comment).
 enum class NetClock { kWall, kMessage };
 
+/// retry_after (seconds) in overload-shed grant denials.
+inline constexpr double kShedRetryAfter = 1.0;
+
 struct NetServerOptions {
   /// Listen address; loopback by default (tests, benches, local fleets).
   std::string bind_address = "127.0.0.1";
@@ -74,12 +77,11 @@ struct NetServerOptions {
   std::size_t max_outbuf_bytes = 0;
   /// Overload shedding: when the idle tick runs this many wall seconds
   /// late (the loop can't keep up), request_job / request_jobs are
-  /// answered with {"type":"no_job","retry_after":shed_retry_after,
+  /// answered with {"type":"no_job","retry_after":kShedRetryAfter,
   /// "shed":true} without touching the service, until a tick lands on
   /// time again. Cheap messages (heartbeats, reports) still flow — under
   /// overload, finishing in-flight work beats granting more. 0 = off.
   double overload_shed_lag = 0;
-  double shed_retry_after = 1.0;
   /// Socket-op seam (fault injection); null = real syscalls with EINTR
   /// retried.
   SocketIo* io = nullptr;

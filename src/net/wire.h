@@ -40,7 +40,7 @@ inline constexpr std::uint32_t kFrameMagic = 0x504E5448;  // 'H''T''N''P' LE
 /// header or to a packed payload struct (versioning rules: DESIGN.md §8).
 inline constexpr std::uint16_t kWireVersion = 1;
 /// Hard upper bound on a payload; larger lengths are hostile or corrupt
-/// (the biggest legitimate frame — a max_batch jobs grant — is far below).
+/// (the biggest legitimate frame — a kMaxBatch jobs grant — is far below).
 inline constexpr std::uint32_t kMaxFramePayload = 16u << 20;
 /// Header byte count: magic + version + type + length + crc.
 inline constexpr std::size_t kFrameHeaderSize = 16;

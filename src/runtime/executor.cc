@@ -169,7 +169,7 @@ void ThreadPoolExecutor::WorkerLoop(
       const double span_end = telemetry->Now();
       span_free_since = span_end;
       job_seconds_histogram_->Observe(span_end - span_start);
-      EmitJobSpan(telemetry, SpanProfile::kCompact, job, !completed, loss,
+      EmitJobSpan(telemetry, job, !completed, loss,
                   RunTiming{span_start, span_end, 0, worker_index});
     }
     const double job_end = elapsed();

@@ -8,7 +8,6 @@
 
 #include <functional>
 #include <string_view>
-#include <vector>
 
 #include "common/rng.h"
 #include "searchspace/space.h"
@@ -18,8 +17,6 @@ namespace hypertune {
 struct PbtExploreOptions {
   /// Probability of perturbing (vs. resampling) each parameter.
   double perturb_probability = 0.75;
-  /// Multiplicative factors chosen uniformly when perturbing.
-  std::vector<double> factors = {1.2, 0.8};
   /// Returns true for parameters that must not be mutated (architecture
   /// parameters). Defaults to freezing nothing.
   std::function<bool(std::string_view)> frozen = nullptr;

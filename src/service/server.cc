@@ -22,7 +22,6 @@ TuningServer::TuningServer(Scheduler& scheduler, ServerOptions options)
                  LifecycleOptions{
                      .track_recommendations = options.track_recommendations}) {
   HT_CHECK(options_.lease_timeout > 0);
-  HT_CHECK(options_.max_batch > 0);
 }
 
 Json ErrorReply(const std::string& text) {
@@ -186,7 +185,7 @@ Json TuningServer::HandleRequestJobs(const Json& message, double now) {
   HT_CHECK_MSG(requested >= 1, "request_jobs count must be >= 1, got "
                                    << requested);
   const std::size_t count =
-      std::min(static_cast<std::size_t>(requested), options_.max_batch);
+      std::min(static_cast<std::size_t>(requested), kMaxBatch);
 
   Json jobs = JsonArray{};
   std::size_t granted_count = 0;

@@ -110,12 +110,13 @@ Json NoJobReply(double retry_after);
 /// including a message that is not an object.
 bool IsGrantRequest(const Json& message);
 
+/// Upper bound on `count` in a batched request_jobs message; larger
+/// requests are clamped (a hostile client must not lease the world).
+inline constexpr std::size_t kMaxBatch = 1024;
+
 struct ServerOptions {
   /// A job lease lasts this long past the last heartbeat/assignment.
   double lease_timeout = 60;
-  /// Upper bound on `count` in a batched request_jobs message; larger
-  /// requests are clamped (a hostile client must not lease the world).
-  std::size_t max_batch = 1024;
   /// Optional observability sink (not owned; must outlive the server).
   /// When set, the server emits lease lifecycle events (granted / renewed /
   /// expired), report/stale-report/malformed-message events — all stamped

@@ -3,7 +3,10 @@
 // study search spaces, custom scheduler kinds) supply their own factory;
 // this one covers the CLI, the smoke tools, and the tests.
 
+#include <algorithm>
+#include <array>
 #include <memory>
+#include <string_view>
 #include <utility>
 
 #include "core/asha.h"
@@ -16,6 +19,18 @@
 namespace hypertune {
 
 namespace {
+
+/// Every key the factory reads. Any other key is refused rather than
+/// ignored: a misspelt knob would otherwise fall back to its default and
+/// size the study silently wrong.
+constexpr std::array<std::string_view, 8> kConfigKeys = {
+    "kind", "seed", "r", "R", "eta", "max_trials", "n", "n0"};
+
+bool OnlyKnownKeys(const Json& config) {
+  return std::ranges::all_of(config.AsObject(), [](const auto& entry) {
+    return std::ranges::find(kConfigKeys, entry.first) != kConfigKeys.end();
+  });
+}
 
 std::int64_t GetInt(const Json& config, const char* key, std::int64_t fallback) {
   return config.Has(key) ? config.at(key).AsInt() : fallback;
@@ -32,7 +47,7 @@ StudySchedulerFactory MakeStudySchedulerFactory(SearchSpace space) {
   // rebuilt per study.
   return [space = std::move(space)](
              const Json& config) -> std::unique_ptr<Scheduler> {
-    if (!config.IsObject()) return nullptr;
+    if (!config.IsObject() || !OnlyKnownKeys(config)) return nullptr;
     const std::string kind =
         config.Has("kind") ? config.at("kind").AsString() : "random";
     const auto seed = static_cast<std::uint64_t>(GetInt(config, "seed", 1));

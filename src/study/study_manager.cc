@@ -87,6 +87,12 @@ std::unique_ptr<StudyManager::Study> StudyManager::BuildStudy(
     const std::string& name, Json config, std::size_t max_leases) {
   auto scheduler = factory_(config);
   if (scheduler == nullptr) return nullptr;
+  // Checked before the study directory exists: a manifest left behind
+  // would make every restart rebuild the same unservable study.
+  HT_CHECK_MSG(!durable() || scheduler->SupportsSnapshot(),
+               "study '" << name << "': durable studies need a scheduler "
+                         << "that supports snapshots; " << scheduler->name()
+                         << " does not");
   auto study = std::make_unique<Study>();
   study->name = name;
   study->config = std::move(config);
@@ -383,8 +389,7 @@ Json StudyManager::HandleAnyStudy(const std::string& type,
     const auto requested = message.at("count").AsInt();
     HT_CHECK_MSG(requested >= 1,
                  "request_jobs count must be >= 1, got " << requested);
-    want = std::min(static_cast<std::size_t>(requested),
-                    options_.server.max_batch);
+    want = std::min(static_cast<std::size_t>(requested), kMaxBatch);
   }
 
   Json probe = JsonObject{};

@@ -75,7 +75,7 @@ using StudySchedulerFactory =
 /// ("asha" | "sha" | "hyperband" | "random", default "random"), "seed",
 /// and the kind's knobs ("r", "R", "eta", "max_trials", "n", "n0") with
 /// the same defaults the decision-identity scenario uses (r=1, R=81,
-/// eta=3). Unknown kinds are rejected.
+/// eta=3). Unknown kinds and any other key are rejected.
 StudySchedulerFactory MakeStudySchedulerFactory(SearchSpace space);
 
 struct StudyManagerOptions {
@@ -151,7 +151,9 @@ class StudyManager final : public MessageService {
   // Typed admin API (the wire verbs call straight into these).
   /// Creates a study. Fails (returns false) on duplicate names, invalid
   /// names (allowed: [A-Za-z0-9._-]{1,128}, not "." / ".."), or a config
-  /// the factory rejects. `max_leases` nullopt = options default.
+  /// the factory rejects. `max_leases` nullopt = options default. In
+  /// durable mode, a scheduler without SupportsSnapshot() is a CheckError,
+  /// raised before anything is written under the study's directory.
   bool CreateStudy(const std::string& name, const Json& config, double now,
                    std::optional<std::size_t> max_leases = std::nullopt);
   /// Stops grants and freezes leases. Idempotent; false if unknown.

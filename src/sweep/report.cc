@@ -11,6 +11,10 @@ namespace hypertune {
 
 namespace {
 
+constexpr double kConfidence = 0.95;
+/// Seed of the bootstrap's resampling streams.
+constexpr std::uint64_t kBootstrapSeed = 7;
+
 Json CiJson(const BootstrapCi& ci) {
   Json object;
   object.Set("mean", Json(ci.mean));
@@ -112,8 +116,8 @@ Json BuildSweepReport(const SweepSpec& spec,
         }
         // One derived bootstrap stream per (row, metric) so rows are
         // decorrelated while the whole report stays a pure function of
-        // bootstrap_seed.
-        const std::uint64_t base = options.bootstrap_seed + 3 * row_counter;
+        // kBootstrapSeed.
+        const std::uint64_t base = kBootstrapSeed + 3 * row_counter;
         ++row_counter;
         Json row;
         row.Set("benchmark", Json(spec.benchmarks[b].name));
@@ -122,14 +126,14 @@ Json BuildSweepReport(const SweepSpec& spec,
         row.Set("seeds", Json(static_cast<std::int64_t>(num_seeds)));
         row.Set("final_loss",
                 CiJson(BootstrapMeanCi(loss_col, options.bootstrap_resamples,
-                                       options.confidence, base)));
+                                       kConfidence, base)));
         row.Set("normalized_regret",
                 CiJson(BootstrapMeanCi(regret_col,
                                        options.bootstrap_resamples,
-                                       options.confidence, base + 1)));
+                                       kConfidence, base + 1)));
         row.Set("rank",
                 CiJson(BootstrapMeanCi(rank_col, options.bootstrap_resamples,
-                                       options.confidence, base + 2)));
+                                       kConfidence, base + 2)));
         aggregates.PushBack(std::move(row));
       }
     }

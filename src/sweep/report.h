@@ -23,12 +23,11 @@
 
 namespace hypertune {
 
+/// The bootstrap intervals are 95% intervals over seeded resampling
+/// streams derived per aggregate row, so rows are decorrelated but the
+/// report stays deterministic.
 struct SweepReportOptions {
   std::size_t bootstrap_resamples = 1000;
-  double confidence = 0.95;
-  /// Seed for the bootstrap's resampling streams (derived per aggregate
-  /// row, so rows are decorrelated but the report stays deterministic).
-  std::uint64_t bootstrap_seed = 7;
 };
 
 Json BuildSweepReport(const SweepSpec& spec,

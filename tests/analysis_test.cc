@@ -135,11 +135,6 @@ TEST(Report, TablesRender) {
 
   const auto summary = SummaryTable({method}, "test error");
   EXPECT_NE(summary.ToMarkdown().find("0.2500"), std::string::npos);
-
-  const auto ttt = TimeToTargetTable({method}, 0.3, "minutes");
-  EXPECT_NE(ttt.ToMarkdown().find("2.0"), std::string::npos);
-  const auto never = TimeToTargetTable({method}, 0.01, "minutes");
-  EXPECT_NE(never.ToMarkdown().find("never"), std::string::npos);
 }
 
 TEST(Report, FormatMetricNaN) {

@@ -218,29 +218,6 @@ TEST(Gp, PredictBatchMatchesScalarPredictBitwise) {
   EXPECT_TRUE(gp.PredictBatch({}).empty());
 }
 
-TEST(Acquisition, MultiThreadedEiMatchesSingleThreadedBitwise) {
-  Rng rng(9);
-  const auto x = RandomPoints(50, 3, rng);
-  const auto y = RandomTargets(50, rng);
-  GaussianProcess gp;
-  gp.Fit(x, y);
-
-  const auto candidates = RandomPoints(301, 3, rng);  // odd: uneven chunks
-  const auto base = ScoreEiBatch(gp, candidates, 0.1, 1);
-  for (const int threads : {2, 3, 8}) {
-    const auto scores = ScoreEiBatch(gp, candidates, 0.1, threads);
-    ASSERT_EQ(scores.size(), base.size());
-    for (std::size_t i = 0; i < scores.size(); ++i)
-      ASSERT_EQ(scores[i], base[i]) << "threads=" << threads << " i=" << i;
-  }
-
-  // And the selected point is therefore identical for any thread count.
-  Rng r1(17), r4(17);
-  const auto p1 = SuggestByEi(gp, 3, 0.1, 128, r1, 1);
-  const auto p4 = SuggestByEi(gp, 3, 0.1, 128, r4, 4);
-  EXPECT_EQ(p1, p4);
-}
-
 TEST(Acquisition, ArgMaxScoreBreaksTiesToLowestIndex) {
   EXPECT_EQ(ArgMaxScore(std::vector<double>{0.5}), 0u);
   EXPECT_EQ(ArgMaxScore(std::vector<double>{1.0, 2.0, 2.0, 0.0}), 1u);

@@ -58,19 +58,6 @@ TEST(Matrix, TriangularSolvesRoundTrip) {
   for (int i = 0; i < 3; ++i) EXPECT_NEAR(back[i], b[i], 1e-10);
 }
 
-TEST(Kernel, RbfProperties) {
-  const RbfKernel k(0.5, 2.0);
-  const std::vector<double> x{0.3, 0.7};
-  EXPECT_DOUBLE_EQ(k(x, x), 2.0);  // k(x,x) = signal variance
-  const std::vector<double> y{0.4, 0.7};
-  EXPECT_LT(k(x, y), 2.0);
-  EXPECT_GT(k(x, y), 0.0);
-  // Symmetry.
-  EXPECT_DOUBLE_EQ(k(x, y), k(y, x));
-  // Known value: d2 = 0.01, l = 0.5 -> 2 exp(-0.02).
-  EXPECT_NEAR(k(x, y), 2.0 * std::exp(-0.01 / (2 * 0.25)), 1e-12);
-}
-
 TEST(Kernel, Matern52Properties) {
   const Matern52Kernel k(0.5);
   const std::vector<double> x{0.0}, y{0.5};

@@ -17,6 +17,7 @@
 #include "durability/durable_server.h"
 #include "durability/wal.h"
 #include "fault/fault_fs.h"
+#include "registry/registry.h"
 #include "service/server.h"
 
 namespace hypertune {
@@ -365,6 +366,32 @@ TEST(DurableServer, RefusesForeignStateDirGracefully) {
                CheckError);
 }
 
+// Compaction snapshots the scheduler, so one that cannot snapshot is refused
+// at construction — before the state dir exists — rather than throwing out
+// of HandleMessage once snapshot_every journaled records pile up.
+TEST(DurableServer, RefusesExactlyTheSchedulersThatCannotSnapshot) {
+  const SearchSpace space = DurabilitySpace();
+  std::size_t refused = 0;
+  for (const std::string& name : TunerNames()) {
+    auto scheduler = MakeTuner(name, {.space = &space, .R = 81}, {});
+    const std::string dir = FreshStateDir("snapshot_only_" + name);
+    if (scheduler->SupportsSnapshot()) {
+      EXPECT_NO_THROW(DurableServer(*scheduler, ServerOptions{},
+                                    DurabilityOptions{.dir = dir}))
+          << name;
+    } else {
+      ++refused;
+      EXPECT_THROW(DurableServer(*scheduler, ServerOptions{},
+                                 DurabilityOptions{.dir = dir}),
+                   CheckError)
+          << name;
+      EXPECT_FALSE(std::filesystem::exists(dir)) << name;
+    }
+  }
+  EXPECT_GT(refused, 0u);
+  EXPECT_LT(refused, TunerNames().size());
+}
+
 // ---------------------------------------------------------------------------
 // Fault injection: the journal's failure reporting and the DurableServer's
 // degraded read-only mode.
@@ -506,7 +533,7 @@ TEST(DurableServerDegraded, EnospcBuffersRecordsAndResumesLosslessly) {
     now += 1.0;
     EXPECT_EQ(denied.at("type").AsString(), "no_job");
     EXPECT_TRUE(denied.at("degraded").AsBool());
-    EXPECT_EQ(denied.at("retry_after").AsDouble(), 5.0);
+    EXPECT_EQ(denied.at("retry_after").AsDouble(), kDegradedRetryAfter);
 
     // ...but the report for the in-flight job is absorbed and buffered.
     const auto job_id =

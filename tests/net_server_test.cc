@@ -656,7 +656,6 @@ TEST(NetHardening, OverloadShedsGrantsUntilTheLoopCatchesUp) {
   NetServerOptions options;
   options.tick_interval = 0.02;
   options.overload_shed_lag = 0.01;
-  options.shed_retry_after = 9.5;
   NetServer net(stalled, options);
   net.Start();
 
@@ -677,7 +676,7 @@ TEST(NetHardening, OverloadShedsGrantsUntilTheLoopCatchesUp) {
     EXPECT_EQ(frame->type, WireType::kNoJobFlagged);
     EXPECT_EQ(reply.at("type").AsString(), "no_job");
     EXPECT_TRUE(reply.at("shed").AsBool());
-    EXPECT_DOUBLE_EQ(reply.at("retry_after").AsDouble(), 9.5);
+    EXPECT_DOUBLE_EQ(reply.at("retry_after").AsDouble(), kShedRetryAfter);
   }
   ASSERT_TRUE(shed);
   EXPECT_GE(net.stats().requests_shed, 1u);

@@ -402,11 +402,12 @@ TEST(Server, BatchedRequestCountClampedAndValidated) {
   RandomSearchOptions options;
   options.R = 10;
   RandomSearchScheduler scheduler(MakeRandomSampler(UnitSpace()), options);
-  TuningServer server(scheduler, {.lease_timeout = 60, .max_batch = 2});
-  // A hostile count is clamped to max_batch, not honored.
-  const Json reply = server.HandleMessage(RequestJobs(1, 1000000), 0);
+  TuningServer server(scheduler, {.lease_timeout = 60});
+  // A hostile count is clamped to kMaxBatch, not honored.
+  const Json reply = server.HandleMessage(
+      RequestJobs(1, static_cast<std::int64_t>(kMaxBatch) + 1), 0);
   ASSERT_EQ(reply.at("type").AsString(), "jobs");
-  EXPECT_EQ(reply.at("jobs").size(), 2u);
+  EXPECT_EQ(reply.at("jobs").size(), kMaxBatch);
   // count < 1 is malformed, with the usual error accounting.
   EXPECT_EQ(server.HandleMessage(RequestJobs(1, 0), 1).at("type").AsString(),
             "error");

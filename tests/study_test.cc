@@ -16,6 +16,7 @@
 #include "common/check.h"
 #include "core/random_search.h"
 #include "core/sampler.h"
+#include "registry/registry.h"
 #include "searchspace/space.h"
 #include "service/server.h"
 #include "service/worker.h"
@@ -211,6 +212,33 @@ TEST(StudyManager, RejectsUnknownAndMalformed) {
   Json no_type = JsonObject{};
   no_type.Set("worker", Json(std::int64_t{1}));
   EXPECT_EQ(ReplyType(manager.HandleMessage(no_type, 0.0)), "error");
+}
+
+TEST(StudyManager, StockFactoryRejectsKeysItDoesNotRead) {
+  const StudySchedulerFactory factory = MakeStudySchedulerFactory(StudySpace());
+  Json every_key = JsonObject{};
+  every_key.Set("kind", Json("asha"));
+  every_key.Set("seed", Json(std::int64_t{3}));
+  every_key.Set("r", Json(1.0));
+  every_key.Set("R", Json(27.0));
+  every_key.Set("eta", Json(3.0));
+  every_key.Set("max_trials", Json(std::int64_t{5}));
+  every_key.Set("n", Json(std::int64_t{9}));
+  every_key.Set("n0", Json(std::int64_t{9}));
+  EXPECT_NE(factory(every_key), nullptr);
+
+  // A misspelt knob must not fall back to its default (a 300-trial study).
+  Json typo = JsonObject{};
+  typo.Set("kind", Json("asha"));
+  typo.Set("max_trial", Json(std::int64_t{5}));
+  EXPECT_EQ(factory(typo), nullptr);
+
+  StudyManager manager(MakeStudySchedulerFactory(StudySpace()),
+                       BaseOptions());
+  Json create = Admin("create_study", "typo");
+  create.Set("config", typo);
+  EXPECT_EQ(ReplyType(manager.HandleMessage(create, 0.0)), "error");
+  EXPECT_EQ(manager.study_count(), 1u);
 }
 
 TEST(StudyManager, ScriptedSessionExpiresAllButSuspendedLeases) {
@@ -510,6 +538,56 @@ TEST(StudyDurability, TombstoneCompletesInterruptedDelete) {
                                        "studies" / "doomed"));
   EXPECT_FALSE(std::filesystem::exists(std::filesystem::path(root) /
                                        "studies" / "halfborn"));
+}
+
+// Durable studies are compacted through Scheduler::Snapshot, so a scheduler
+// that cannot snapshot is refused at create time with nothing on disk; a
+// leftover manifest would make every restart rebuild the unservable study.
+TEST(StudyDurability, RefusesSchedulersThatCannotSnapshot) {
+  const std::string root = FreshDir("snapshot_only");
+  StudyManagerOptions options = BaseOptions();
+  options.durability_root = root;
+  options.default_config = Json();
+  const SearchSpace space = StudySpace();
+  const StudySchedulerFactory every_tuner = [&space](const Json& config) {
+    return MakeTuner(config.at("kind").AsString(), {.space = &space, .R = 81},
+                     {});
+  };
+
+  std::vector<std::string> servable;
+  {
+    StudyManager manager(every_tuner, options);
+    for (const std::string& name : TunerNames()) {
+      Json config = JsonObject{};
+      config.Set("kind", Json(name));
+      Json create = Admin("create_study", name);
+      create.Set("config", config);
+      const Json reply = manager.HandleMessage(create, 0.0);
+      if (every_tuner(config)->SupportsSnapshot()) {
+        EXPECT_EQ(ReplyType(reply), "ack") << name;
+        servable.push_back(name);
+      } else {
+        EXPECT_EQ(ReplyType(reply), "error") << name;
+        EXPECT_NE(reply.at("message").AsString().find("snapshot"),
+                  std::string::npos)
+            << name;
+        EXPECT_FALSE(std::filesystem::exists(std::filesystem::path(root) /
+                                             "studies" / name))
+            << name;
+      }
+    }
+  }
+  ASSERT_FALSE(servable.empty());
+  ASSERT_LT(servable.size(), TunerNames().size());
+
+  StudyManager recovered(every_tuner, options);
+  EXPECT_EQ(recovered.stats().recovered, servable.size());
+  std::vector<std::string> names;
+  for (const StudyInfo& info : recovered.ListStudies()) {
+    names.push_back(info.name);
+  }
+  std::sort(servable.begin(), servable.end());
+  EXPECT_EQ(names, servable);
 }
 
 TEST(StudyDurability, RecoversAThousandStudies) {

@@ -110,10 +110,14 @@ Network mode:
   --multi-study          (serve) host a StudyManager instead of one study:
                          clients create/suspend/resume/delete/list studies
                          over the wire in one single-threaded study
-                         index; --tuner/--seed set the config of the
-                         default study (named "default", where study-less
-                         messages go), --state-dir roots per-study
-                         durability under DIR/studies/<name>/
+                         index; --tuner (asha|sha|hyperband|random, where
+                         hyperband is the asynchronous variant) and --seed
+                         set the default study (named "default", where
+                         study-less messages go), sized as --serve sizes
+                         it: R from --benchmark, r = R / --r-divisor,
+                         --eta, and --n as SHA's n or Hyperband's n0;
+                         --state-dir roots per-study durability under
+                         DIR/studies/<name>/
   --max-leases=N         (serve --multi-study) default per-study quota
                          (default 0 = unlimited)
   --connect=HOST:PORT    drive --workers simulated workers against a served
@@ -121,7 +125,8 @@ Network mode:
   --study=NAME           (connect) pin every message the fleet sends to
                          study NAME (absent: the server's default study)
   --create=KIND          (connect) create --study first with scheduler KIND
-                         (asha|sha|hyperband|random) seeded by --seed; an
+                         (asha|sha|hyperband|random) seeded by --seed and
+                         sized like the --multi-study default study; an
                          already-exists error just means another fleet won
                          the race
   --transport=NAME       (connect) binary (default) or json
@@ -218,6 +223,30 @@ int RunServe(const Flags& flags) {
   return 0;
 }
 
+/// The stock study factory's config for `kind`, sized the way RunServe
+/// sizes a tuner: R is the benchmark's R, r = R / --r-divisor, eta is
+/// --eta, and --n is SHA's n or Hyperband's n0. Throws for a kind the
+/// factory cannot build.
+Json StudyConfig(const Flags& flags, const std::string& kind, double R,
+                 std::uint64_t seed) {
+  HT_CHECK_MSG(kind == "asha" || kind == "sha" || kind == "hyperband" ||
+                   kind == "random",
+               "'" << kind
+                   << "' cannot run as a study; study kinds are asha, sha, "
+                      "hyperband (the asynchronous variant here) and random");
+  Json config = JsonObject{};
+  config.Set("kind", Json(kind));
+  config.Set("seed", Json(static_cast<std::int64_t>(seed)));
+  config.Set("R", Json(R));
+  if (kind == "random") return config;
+  config.Set("r", Json(R / flags.GetDouble("r-divisor", 256)));
+  config.Set("eta", Json(flags.GetDouble("eta", 4)));
+  const Json n(static_cast<std::int64_t>(flags.GetInt("n", 256)));
+  if (kind == "sha") config.Set("n", n);
+  if (kind == "hyperband") config.Set("n0", n);
+  return config;
+}
+
 /// `--serve=PORT --multi-study`: one server, many studies. Lease traffic
 /// routes by the "study" field on each message; the admin vocabulary
 /// (create_study/.../list_studies) manages tenants over the same socket.
@@ -235,10 +264,8 @@ int RunServeMultiStudy(const Flags& flags) {
   options.durability_root = flags.Get("state-dir", "");
   options.default_max_leases =
       static_cast<std::size_t>(flags.GetInt("max-leases", 0));
-  Json default_config = JsonObject{};
-  default_config.Set("kind", Json(flags.Get("tuner", "asha")));
-  default_config.Set("seed", Json(static_cast<std::int64_t>(seed)));
-  options.default_config = default_config;
+  options.default_config =
+      StudyConfig(flags, flags.Get("tuner", "asha"), bench->R(), seed);
   StudyManager manager(MakeStudySchedulerFactory(bench->space()), options);
   if (manager.stats().recovered > 0) {
     std::cout << "recovered " << manager.stats().recovered << " studies from "
@@ -323,10 +350,8 @@ int RunConnect(const Flags& flags) {
     Json create = JsonObject{};
     create.Set("type", Json("create_study"));
     create.Set("study", Json(study));
-    Json config = JsonObject{};
-    config.Set("kind", Json(flags.Get("create", "random")));
-    config.Set("seed", Json(static_cast<std::int64_t>(seed)));
-    create.Set("config", config);
+    create.Set("config", StudyConfig(flags, flags.Get("create", "random"),
+                                     bench->R(), seed));
     const auto reply = clients.front().Send(create, 0.0);
     std::cout << "create_study " << study << ": "
               << (reply ? reply->Dump() : "(no reply)") << "\n";
