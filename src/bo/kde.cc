@@ -9,12 +9,17 @@
 
 namespace hypertune {
 
+namespace {
+
+constexpr double kMinBandwidth = 1e-3;
+
+}  // namespace
+
 KernelDensityEstimator::KernelDensityEstimator(
-    std::vector<std::vector<double>> points, double min_bandwidth,
-    double bandwidth_factor)
+    std::vector<std::vector<double>> points, double bandwidth_factor)
     : points_(std::move(points)) {
   HT_CHECK_MSG(!points_.empty(), "KDE needs at least one point");
-  HT_CHECK(min_bandwidth > 0 && bandwidth_factor > 0);
+  HT_CHECK(bandwidth_factor > 0);
   const std::size_t d = points_.front().size();
   HT_CHECK(d > 0);
   for (const auto& p : points_) HT_CHECK(p.size() == d);
@@ -27,7 +32,7 @@ KernelDensityEstimator::KernelDensityEstimator(
     for (std::size_t i = 0; i < points_.size(); ++i) column[i] = points_[i][j];
     const double sd = Stddev(column);
     bandwidths_[j] =
-        std::max(min_bandwidth, bandwidth_factor * scott * std::max(sd, 0.05));
+        std::max(kMinBandwidth, bandwidth_factor * scott * std::max(sd, 0.05));
   }
 }
 

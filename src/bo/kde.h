@@ -11,9 +11,9 @@ namespace hypertune {
 class KernelDensityEstimator {
  public:
   /// Fits per-dimension bandwidths with Scott's rule (n^(-1/(d+4)) * std,
-  /// floored at `min_bandwidth`) over the given unit-cube points.
+  /// scaled by `bandwidth_factor` and floored at 1e-3) over the given
+  /// unit-cube points.
   explicit KernelDensityEstimator(std::vector<std::vector<double>> points,
-                                  double min_bandwidth = 1e-3,
                                   double bandwidth_factor = 1.0);
 
   std::size_t NumPoints() const { return points_.size(); }

@@ -66,8 +66,8 @@ const TpeSampler::LevelModel& TpeSampler::ModelFor(LevelData& level) const {
     }
   }
   level.model = std::make_unique<LevelModel>(LevelModel{
-      KernelDensityEstimator(std::move(good), 1e-3, kBandwidthFactor),
-      KernelDensityEstimator(std::move(bad), 1e-3, kBandwidthFactor)});
+      KernelDensityEstimator(std::move(good), kBandwidthFactor),
+      KernelDensityEstimator(std::move(bad), kBandwidthFactor)});
   return *level.model;
 }
 

@@ -8,27 +8,51 @@ namespace {
 
 constexpr std::uint32_t kPolynomial = 0xEDB88320u;  // reflected 0x04C11DB7
 
-constexpr std::array<std::uint32_t, 256> MakeTable() {
-  std::array<std::uint32_t, 256> table{};
+using Tables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+// kTables[0] is the classic byte-at-a-time table; kTables[k][b] is the CRC
+// of byte b followed by k zero bytes, so eight lookups fold eight bytes.
+constexpr Tables MakeTables() {
+  Tables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc >> 1) ^ ((crc & 1u) ? kPolynomial : 0u);
     }
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
 }
 
-constexpr std::array<std::uint32_t, 256> kTable = MakeTable();
+constexpr Tables kTables = MakeTables();
+
+std::uint32_t LoadLe32(const unsigned char* p) {
+  return std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+         std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24;
+}
 
 }  // namespace
 
 std::uint32_t Crc32(const void* data, std::size_t size) {
   const auto* bytes = static_cast<const unsigned char*>(data);
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = (crc >> 8) ^ kTable[(crc ^ bytes[i]) & 0xFFu];
+  // Slicing-by-8 (Kounavis & Berry): eight independent lookups per step.
+  for (; size >= 8; bytes += 8, size -= 8) {
+    const std::uint32_t lo = LoadLe32(bytes) ^ crc;
+    const std::uint32_t hi = LoadLe32(bytes + 4);
+    crc = kTables[7][lo & 0xFFu] ^ kTables[6][(lo >> 8) & 0xFFu] ^
+          kTables[5][(lo >> 16) & 0xFFu] ^ kTables[4][lo >> 24] ^
+          kTables[3][hi & 0xFFu] ^ kTables[2][(hi >> 8) & 0xFFu] ^
+          kTables[1][(hi >> 16) & 0xFFu] ^ kTables[0][hi >> 24];
+  }
+  for (; size > 0; ++bytes, --size) {
+    crc = (crc >> 8) ^ kTables[0][(crc ^ *bytes) & 0xFFu];
   }
   return crc ^ 0xFFFFFFFFu;
 }

@@ -1,9 +1,11 @@
 // CRC-32 (IEEE 802.3, the zlib polynomial) over arbitrary bytes.
 //
-// Used to frame write-ahead-journal records (src/durability): each frame
-// stores the CRC of its payload, so a torn or bit-rotted tail is detected
-// by checksum mismatch rather than parsed as garbage. Table-driven,
-// dependency-free, byte-order independent.
+// One implementation for every checksum in the tree: write-ahead-journal
+// records (src/durability) and wire frames (src/net) store the CRC of their
+// payload, so a torn or bit-rotted frame is detected by checksum mismatch
+// rather than parsed as garbage; surrogate tables (src/surrogate) carry the
+// CRC of their payload in the header. Slicing-by-8 over eight 256-entry
+// tables, dependency-free, byte-order independent.
 #pragma once
 
 #include <cstddef>

@@ -50,35 +50,6 @@ std::string TextTable::ToMarkdown() const {
   return os.str();
 }
 
-namespace {
-
-std::string CsvEscape(const std::string& cell) {
-  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
-  std::string out = "\"";
-  for (char ch : cell) {
-    if (ch == '"') out += "\"\"";
-    else out += ch;
-  }
-  out += "\"";
-  return out;
-}
-
-}  // namespace
-
-std::string TextTable::ToCsv() const {
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c) os << ",";
-      os << CsvEscape(cells[c]);
-    }
-    os << "\n";
-  };
-  emit(header_);
-  for (const auto& row : rows_) emit(row);
-  return os.str();
-}
-
 std::string FormatDouble(double value, int precision) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", precision, value);

@@ -1,4 +1,4 @@
-// Plain-text table and CSV emission used by the bench harness to print the
+// Plain-text table emission used by the bench harness to print the
 // rows/series the paper's figures and tables report.
 #pragma once
 
@@ -22,10 +22,6 @@ class TextTable {
 
   /// Renders as a GitHub-flavored markdown table.
   std::string ToMarkdown() const;
-
-  /// Renders as RFC-4180-ish CSV (cells containing comma/quote/newline are
-  /// quoted, quotes doubled).
-  std::string ToCsv() const;
 
  private:
   std::vector<std::string> header_;

@@ -63,9 +63,9 @@ Job AshaScheduler::MakeJob(TrialId id, int rung) {
   job.to_resource = RungResource(rung);
   job.rung = rung;
   job.bracket = options_.s;
+  in_flight_.Open(job);
   trial.status = TrialStatus::kRunning;
   resource_dispatched_ += job.to_resource - job.from_resource;
-  in_flight_[id] = job;
   return job;
 }
 
@@ -113,7 +113,7 @@ std::optional<Job> AshaScheduler::GetJob() {
 }
 
 void AshaScheduler::ReportResult(const Job& job, double loss) {
-  ResolveInFlight(in_flight_, job);
+  in_flight_.Resolve(job);
   Trial& trial = bank_->Get(job.trial_id);
   bank_->RecordObservation(job.trial_id, job.to_resource, loss);
   rungs_.at(static_cast<std::size_t>(job.rung)).Record(job.trial_id, loss);
@@ -134,7 +134,7 @@ void AshaScheduler::ReportResult(const Job& job, double loss) {
 }
 
 void AshaScheduler::ReportLost(const Job& job) {
-  ResolveInFlight(in_flight_, job);
+  in_flight_.Resolve(job);
   // The configuration's work is gone; ASHA simply moves on (the robustness
   // property evaluated in Appendix A.1). If the trial had been promoted its
   // promotion mark stays — the slot is lost, not recycled.
@@ -194,7 +194,7 @@ Json AshaScheduler::SnapshotState(bool include_bank) const {
   Json rungs = JsonArray{};
   for (const auto& rung : rungs_) rungs.PushBack(ToJson(rung));
   json.Set("rungs", std::move(rungs));
-  WriteInFlight(in_flight_, json);
+  WriteInFlight(in_flight_, *bank_, json);
   json.Set("trials_created", Json(trials_created_));
   json.Set("resource_dispatched", Json(resource_dispatched_));
   WriteIncumbent(incumbent_, json);
@@ -211,7 +211,12 @@ void AshaScheduler::RestoreState(const Json& snapshot, RestorePolicy policy,
                  "Restore requires an untouched trial bank");
   }
   CheckIdentity(snapshot.at("bracket"), Identity());
-  if (restore_bank) *bank_ = TrialBankFromJson(snapshot.at("trials"));
+  // Every in-flight entry is checked against the bank before any state
+  // changes; a composite restores the shared bank (and checks) beforehand.
+  TrialBank bank =
+      restore_bank ? TrialBankFromJson(snapshot.at("trials")) : TrialBank{};
+  in_flight_ = ReadInFlight(snapshot, restore_bank ? bank : *bank_);
+  if (restore_bank) *bank_ = std::move(bank);
 
   const auto& rungs = snapshot.at("rungs").AsArray();
   rungs_.assign(std::max<std::size_t>(rungs.size(), 1), Rung{});
@@ -223,12 +228,13 @@ void AshaScheduler::RestoreState(const Json& snapshot, RestorePolicy policy,
   for (std::size_t k = 0; k < rungs.size(); ++k) {
     rungs_[k] = RungFromJson(rungs[k]);
   }
-  in_flight_ = ReadInFlight(snapshot);
   trials_created_ = snapshot.at("trials_created").AsInt();
   resource_dispatched_ = snapshot.at("resource_dispatched").AsDouble();
   ReadIncumbent(snapshot, incumbent_);
   ReadRng(snapshot, rng_);
-  if (policy == RestorePolicy::kDropInFlight) DropInFlight(*this, in_flight_);
+  if (policy == RestorePolicy::kDropInFlight) {
+    DropInFlight(*this, in_flight_, *bank_);
+  }
 }
 
 }  // namespace hypertune

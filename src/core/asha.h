@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -118,10 +117,9 @@ class AshaScheduler final : public Scheduler {
   Rng rng_;
   std::int64_t trials_created_ = 0;
   double resource_dispatched_ = 0;
-  /// Jobs issued and not yet reported, keyed by trial (a trial has at most
-  /// one job in flight): reports are checked against it, Snapshot captures
-  /// it, and Restore resolves or re-opens it.
-  std::map<TrialId, Job> in_flight_;
+  /// Jobs issued and not yet reported: reports are checked against it,
+  /// Snapshot captures it, and Restore resolves or re-opens it.
+  InFlightJobs in_flight_;
 };
 
 }  // namespace hypertune

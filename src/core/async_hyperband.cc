@@ -107,9 +107,12 @@ void AsyncHyperbandScheduler::Restore(const Json& snapshot,
   HT_CHECK_MSG(bank_->size() == 0,
                "Restore requires a freshly constructed scheduler");
   CheckIdentity(snapshot, Identity());
-  *bank_ = TrialBankFromJson(snapshot.at("trials"));
+  TrialBank bank = TrialBankFromJson(snapshot.at("trials"));
   const auto& brackets = snapshot.at("brackets").AsArray();
   HT_CHECK(brackets.size() == brackets_.size());
+  // Check every bracket's in-flight jobs before any state changes.
+  for (const auto& bracket : brackets) ReadInFlight(bracket, bank);
+  *bank_ = std::move(bank);
   for (std::size_t s = 0; s < brackets.size(); ++s) {
     brackets_[s]->RestoreState(brackets[s], policy, /*restore_bank=*/false);
   }

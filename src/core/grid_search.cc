@@ -47,25 +47,25 @@ std::optional<Job> GridSearchScheduler::GetJob() {
   Configuration config = PointAt(next_index_++);
   const TrialId id = bank_->Create(std::move(config), /*bracket=*/0);
   Trial& trial = bank_->Get(id);
-  trial.status = TrialStatus::kRunning;
   Job job;
   job.trial_id = id;
   job.config = trial.config;
   job.from_resource = 0;
   job.to_resource = options_.R;
-  in_flight_[id] = job;
+  in_flight_.Open(job);
+  trial.status = TrialStatus::kRunning;
   return job;
 }
 
 void GridSearchScheduler::ReportResult(const Job& job, double loss) {
-  ResolveInFlight(in_flight_, job);
+  in_flight_.Resolve(job);
   bank_->RecordObservation(job.trial_id, job.to_resource, loss);
   bank_->Get(job.trial_id).status = TrialStatus::kCompleted;
   incumbent_.Offer(job.trial_id, loss, job.to_resource);
 }
 
 void GridSearchScheduler::ReportLost(const Job& job) {
-  ResolveInFlight(in_flight_, job);
+  in_flight_.Resolve(job);
   bank_->Get(job.trial_id).status = TrialStatus::kLost;
 }
 

@@ -4,7 +4,6 @@
 // can measure exactly why (grid size explodes as resolution^d).
 #pragma once
 
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -45,8 +44,8 @@ class GridSearchScheduler final : public Scheduler {
   std::shared_ptr<TrialBank> bank_;
   std::vector<std::size_t> dims_;  // points per dimension
   std::size_t next_index_ = 0;
-  /// Jobs issued and not yet reported, keyed by trial.
-  std::map<TrialId, Job> in_flight_;
+  /// Jobs issued and not yet reported.
+  InFlightJobs in_flight_;
   IncumbentTracker incumbent_;
 };
 

@@ -146,7 +146,12 @@ void HyperbandScheduler::Restore(const Json& snapshot, RestorePolicy policy) {
                "Restore requires a freshly constructed scheduler");
   CheckIdentity(snapshot.at("options"), Identity());
 
-  *bank_ = TrialBankFromJson(snapshot.at("trials"));
+  TrialBank bank = TrialBankFromJson(snapshot.at("trials"));
+  // Check every bracket's in-flight jobs before any state changes.
+  for (const auto& child : snapshot.at("brackets").AsArray()) {
+    ReadInFlight(child, bank);
+  }
+  *bank_ = std::move(bank);
   // Rebuild each bracket with its original deterministic options, then
   // restore its state (the bank is shared, restored once above).
   brackets_run_.clear();

@@ -24,18 +24,18 @@ std::optional<Job> RandomSearchScheduler::GetJob() {
   const TrialId id = bank_->Create(sampler_->Sample(rng_), /*bracket=*/0);
   ++trials_created_;
   Trial& trial = bank_->Get(id);
-  trial.status = TrialStatus::kRunning;
   Job job;
   job.trial_id = id;
   job.config = trial.config;
   job.from_resource = 0;
   job.to_resource = options_.R;
-  in_flight_[id] = job;
+  in_flight_.Open(job);
+  trial.status = TrialStatus::kRunning;
   return job;
 }
 
 void RandomSearchScheduler::ReportResult(const Job& job, double loss) {
-  ResolveInFlight(in_flight_, job);
+  in_flight_.Resolve(job);
   bank_->RecordObservation(job.trial_id, job.to_resource, loss);
   bank_->Get(job.trial_id).status = TrialStatus::kCompleted;
   incumbent_.Offer(job.trial_id, loss, job.to_resource);
@@ -43,7 +43,7 @@ void RandomSearchScheduler::ReportResult(const Job& job, double loss) {
 }
 
 void RandomSearchScheduler::ReportLost(const Job& job) {
-  ResolveInFlight(in_flight_, job);
+  in_flight_.Resolve(job);
   bank_->Get(job.trial_id).status = TrialStatus::kLost;
 }
 
@@ -67,7 +67,7 @@ Json RandomSearchScheduler::Snapshot() const {
   if (!SupportsSnapshot()) return Scheduler::Snapshot();
   Json json = Identity();
   json.Set("trials", ToJson(*bank_));
-  WriteInFlight(in_flight_, json);
+  WriteInFlight(in_flight_, *bank_, json);
   json.Set("trials_created", Json(trials_created_));
   WriteIncumbent(incumbent_, json);
   WriteRng(rng_, json);
@@ -80,12 +80,15 @@ void RandomSearchScheduler::Restore(const Json& snapshot,
   HT_CHECK_MSG(bank_->size() == 0 && in_flight_.empty(),
                "Restore requires a freshly constructed scheduler");
   CheckIdentity(snapshot, Identity());
-  *bank_ = TrialBankFromJson(snapshot.at("trials"));
-  in_flight_ = ReadInFlight(snapshot);
+  TrialBank bank = TrialBankFromJson(snapshot.at("trials"));
+  in_flight_ = ReadInFlight(snapshot, bank);  // checked before any change
+  *bank_ = std::move(bank);
   trials_created_ = snapshot.at("trials_created").AsInt();
   ReadIncumbent(snapshot, incumbent_);
   ReadRng(snapshot, rng_);
-  if (policy == RestorePolicy::kDropInFlight) DropInFlight(*this, in_flight_);
+  if (policy == RestorePolicy::kDropInFlight) {
+    DropInFlight(*this, in_flight_, *bank_);
+  }
 }
 
 }  // namespace hypertune

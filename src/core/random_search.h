@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 
 #include "common/rng.h"
@@ -51,8 +50,8 @@ class RandomSearchScheduler final : public Scheduler {
   IncumbentTracker incumbent_;
   Rng rng_;
   std::int64_t trials_created_ = 0;
-  /// Jobs issued and not yet reported, keyed by trial.
-  std::map<TrialId, Job> in_flight_;
+  /// Jobs issued and not yet reported.
+  InFlightJobs in_flight_;
 };
 
 }  // namespace hypertune

@@ -7,9 +7,10 @@
 // — which is precisely the idle time stragglers inflict on them.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/trial.h"
 #include "core/types.h"
@@ -108,9 +109,54 @@ class Scheduler {
   }
 };
 
-/// Settles a reported job against a scheduler's in-flight map (trial ->
-/// the job issued for it): erases the entry, or throws CheckError unless
-/// `job` is the job in flight for its trial.
-void ResolveInFlight(std::map<TrialId, Job>& in_flight, const Job& job);
+/// The jobs a scheduler has issued and not yet had reported, keyed by trial
+/// (a trial has at most one job in flight). Every report is settled against
+/// it. An open-addressed table: Fibonacci hashing of the trial id, linear
+/// probing, at most half full (halved again below an eighth), backward-shift
+/// erase, and no storage until the first job. An entry keeps only what a report is checked against — no
+/// Configuration: the trial bank holds that, and snapshots read it there.
+class InFlightJobs {
+ public:
+  /// Records `job` as in flight; throws CheckError when its trial already
+  /// has a job out.
+  void Open(const Job& job);
+
+  /// Settles a reported job: erases its entry, or throws CheckError (and
+  /// changes nothing) unless `job` is the job in flight for its trial.
+  void Resolve(const Job& job);
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+  /// The jobs in flight in ascending trial order, each with an empty config.
+  std::vector<Job> Sorted() const;
+
+ private:
+  struct Entry {
+    TrialId trial = -1;  // -1: empty slot
+    int rung = 0;
+    int bracket = 0;
+    std::uint64_t tag = 0;
+    Resource from = 0;
+    Resource to = 0;
+  };
+
+  std::size_t Home(TrialId id) const {
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(id) * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+  /// Slot holding `id`, or slots_.size() when it has no job in flight.
+  std::size_t Find(TrialId id) const;
+  void Insert(const Entry& entry);
+  /// Moves every entry into a fresh table of `capacity` slots.
+  void Rehash(std::size_t capacity);
+
+  /// Smallest table: a served study often has only one or two jobs out.
+  static constexpr std::size_t kMinSlots = 4;
+
+  std::vector<Entry> slots_;  // size is 0 or a power of two
+  std::size_t size_ = 0;
+  int shift_ = 64;  // 64 - log2(slots_.size())
+};
 
 }  // namespace hypertune

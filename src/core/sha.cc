@@ -61,9 +61,9 @@ Job SyncShaScheduler::MakeJob(std::size_t instance_idx, TrialId id, int rung) {
   job.rung = rung;
   job.bracket = options_.s;
   job.tag = instance_idx;
+  in_flight_.Open(job);
   trial.status = TrialStatus::kRunning;
   resource_dispatched_ += job.to_resource - job.from_resource;
-  in_flight_[id] = job;
   return job;
 }
 
@@ -167,7 +167,7 @@ void SyncShaScheduler::OnRungSettled(std::size_t instance_idx) {
 }
 
 void SyncShaScheduler::ReportResult(const Job& job, double loss) {
-  ResolveInFlight(in_flight_, job);
+  in_flight_.Resolve(job);
   auto& inst = instances_.at(job.tag);
   const auto k = static_cast<std::size_t>(job.rung);
   HT_CHECK(inst.outstanding[k] > 0);
@@ -192,7 +192,7 @@ void SyncShaScheduler::ReportResult(const Job& job, double loss) {
 }
 
 void SyncShaScheduler::ReportLost(const Job& job) {
-  ResolveInFlight(in_flight_, job);
+  in_flight_.Resolve(job);
   auto& inst = instances_.at(job.tag);
   const auto k = static_cast<std::size_t>(job.rung);
   HT_CHECK(inst.outstanding[k] > 0);
@@ -283,7 +283,7 @@ Json SyncShaScheduler::SnapshotState(bool include_bank) const {
   }
   json.Set("instances", std::move(instances));
 
-  WriteInFlight(in_flight_, json);
+  WriteInFlight(in_flight_, *bank_, json);
   json.Set("completed_brackets",
            Json(static_cast<std::int64_t>(completed_brackets_)));
   json.Set("resource_dispatched", Json(resource_dispatched_));
@@ -301,7 +301,12 @@ void SyncShaScheduler::RestoreState(const Json& snapshot, RestorePolicy policy,
                  "Restore requires an untouched trial bank");
   }
   CheckIdentity(snapshot.at("bracket"), Identity());
-  if (restore_bank) *bank_ = TrialBankFromJson(snapshot.at("trials"));
+  // Every in-flight entry is checked against the bank before any state
+  // changes; a composite restores the shared bank (and checks) beforehand.
+  TrialBank bank =
+      restore_bank ? TrialBankFromJson(snapshot.at("trials")) : TrialBank{};
+  in_flight_ = ReadInFlight(snapshot, restore_bank ? bank : *bank_);
+  if (restore_bank) *bank_ = std::move(bank);
 
   for (const auto& entry : snapshot.at("instances").AsArray()) {
     BracketInstance inst;
@@ -324,7 +329,6 @@ void SyncShaScheduler::RestoreState(const Json& snapshot, RestorePolicy policy,
     instances_.push_back(std::move(inst));
   }
 
-  in_flight_ = ReadInFlight(snapshot);
   completed_brackets_ =
       static_cast<std::size_t>(snapshot.at("completed_brackets").AsInt());
   resource_dispatched_ = snapshot.at("resource_dispatched").AsDouble();
@@ -332,7 +336,9 @@ void SyncShaScheduler::RestoreState(const Json& snapshot, RestorePolicy policy,
   ReadRng(snapshot, rng_);
   // ReportLost shrinks the rung pool and settles frontiers exactly as live
   // worker deaths would.
-  if (policy == RestorePolicy::kDropInFlight) DropInFlight(*this, in_flight_);
+  if (policy == RestorePolicy::kDropInFlight) {
+    DropInFlight(*this, in_flight_, *bank_);
+  }
 }
 
 }  // namespace hypertune

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -117,9 +116,9 @@ class SyncShaScheduler final : public Scheduler {
   Rng rng_;
   std::size_t completed_brackets_ = 0;
   double resource_dispatched_ = 0;
-  /// Jobs dispatched but not yet reported, keyed by trial (a trial runs in
-  /// exactly one instance at a time). Captured by Snapshot.
-  std::map<TrialId, Job> in_flight_;
+  /// Jobs dispatched but not yet reported (a trial runs in exactly one
+  /// instance at a time). Captured by Snapshot.
+  InFlightJobs in_flight_;
 };
 
 }  // namespace hypertune

@@ -3,10 +3,25 @@
 #include <array>
 
 #include "common/check.h"
-#include "core/scheduler.h"
 #include "searchspace/config_json.h"
 
 namespace hypertune {
+
+namespace {
+
+Json JobJson(const Job& job, const Configuration& config) {
+  Json json = JsonObject{};
+  json.Set("trial", Json(job.trial_id));
+  json.Set("config", ToJson(config));
+  json.Set("from", Json(job.from_resource));
+  json.Set("to", Json(job.to_resource));
+  json.Set("rung", Json(job.rung));
+  json.Set("bracket", Json(job.bracket));
+  json.Set("tag", Json(static_cast<std::int64_t>(job.tag)));
+  return json;
+}
+
+}  // namespace
 
 const char* StatusName(TrialStatus status) {
   switch (status) {
@@ -83,17 +98,7 @@ TrialBank TrialBankFromJson(const Json& json) {
   return bank;
 }
 
-Json ToJson(const Job& job) {
-  Json json = JsonObject{};
-  json.Set("trial", Json(job.trial_id));
-  json.Set("config", ToJson(job.config));
-  json.Set("from", Json(job.from_resource));
-  json.Set("to", Json(job.to_resource));
-  json.Set("rung", Json(job.rung));
-  json.Set("bracket", Json(job.bracket));
-  json.Set("tag", Json(static_cast<std::int64_t>(job.tag)));
-  return json;
-}
+Json ToJson(const Job& job) { return JobJson(job, job.config); }
 
 Job JobFromJson(const Json& json) {
   Job job;
@@ -148,19 +153,32 @@ void ReadIncumbent(const Json& snapshot, IncumbentTracker& incumbent) {
                   rec.at("resource").AsDouble());
 }
 
-void WriteInFlight(const std::map<TrialId, Job>& in_flight, Json& snapshot) {
+void WriteInFlight(const InFlightJobs& in_flight, const TrialBank& bank,
+                   Json& snapshot) {
   Json jobs = JsonArray{};
-  for (const auto& [id, job] : in_flight) jobs.PushBack(ToJson(job));
+  for (const Job& job : in_flight.Sorted()) {
+    jobs.PushBack(JobJson(job, bank.Get(job.trial_id).config));
+  }
   snapshot.Set("in_flight", std::move(jobs));
 }
 
-std::map<TrialId, Job> ReadInFlight(const Json& snapshot) {
-  std::map<TrialId, Job> in_flight;
+InFlightJobs ReadInFlight(const Json& snapshot, const TrialBank& bank) {
+  InFlightJobs in_flight;
   if (!snapshot.Has("in_flight")) return in_flight;
   for (const auto& entry : snapshot.at("in_flight").AsArray()) {
-    Job job = JobFromJson(entry);
+    const Job job = JobFromJson(entry);
     const TrialId id = job.trial_id;
-    in_flight.emplace(id, std::move(job));
+    HT_CHECK_MSG(id >= 0 && static_cast<std::size_t>(id) < bank.size(),
+                 "in-flight trial " << id << " is not in the trial bank");
+    const Trial& trial = bank.Get(id);
+    HT_CHECK_MSG(trial.status == TrialStatus::kRunning,
+                 "in-flight trial " << id << " is "
+                                    << StatusName(trial.status)
+                                    << ", not running");
+    HT_CHECK_MSG(job.config == trial.config,
+                 "in-flight trial " << id
+                                    << " carries a config the bank does not");
+    in_flight.Open(job);
   }
   return in_flight;
 }
@@ -207,11 +225,11 @@ void CheckIdentity(const Json& stored, const Json& identity) {
   }
 }
 
-void DropInFlight(Scheduler& scheduler,
-                  const std::map<TrialId, Job>& in_flight) {
-  while (!in_flight.empty()) {
-    // Copy: ReportLost erases this map entry and keeps using the job.
-    const Job job = in_flight.begin()->second;
+void DropInFlight(Scheduler& scheduler, const InFlightJobs& in_flight,
+                  const TrialBank& bank) {
+  // A copy: ReportLost erases each job from `in_flight` as it goes.
+  for (Job& job : in_flight.Sorted()) {
+    job.config = bank.Get(job.trial_id).config;
     scheduler.ReportLost(job);
   }
 }

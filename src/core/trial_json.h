@@ -5,13 +5,13 @@
 // rungs through the functions below, so the format lives in this one file.
 #pragma once
 
-#include <map>
 #include <string>
 
 #include "common/json.h"
 #include "common/rng.h"
 #include "core/incumbent.h"
 #include "core/rung.h"
+#include "core/scheduler.h"
 #include "core/trial.h"
 
 namespace hypertune {
@@ -31,8 +31,6 @@ TrialBank TrialBankFromJson(const Json& json);
 Json ToJson(const Job& job);
 Job JobFromJson(const Json& json);
 
-class Scheduler;
-
 /// Sets "rng" (the four engine words) on `snapshot` and, while a Box–Muller
 /// spare is cached, "spare_normal". ReadRng restores both, so the restored
 /// stream repeats the original's draws bit for bit, normals included.
@@ -43,10 +41,14 @@ void ReadRng(const Json& snapshot, Rng& rng);
 void WriteIncumbent(const IncumbentTracker& incumbent, Json& snapshot);
 void ReadIncumbent(const Json& snapshot, IncumbentTracker& incumbent);
 
-/// Sets "in_flight": the jobs, in ascending trial order. ReadInFlight
-/// returns them keyed by trial (empty when the key is absent).
-void WriteInFlight(const std::map<TrialId, Job>& in_flight, Json& snapshot);
-std::map<TrialId, Job> ReadInFlight(const Json& snapshot);
+/// Sets "in_flight": the jobs, in ascending trial order, each with its
+/// trial's config from `bank` (the table keeps none). ReadInFlight rebuilds
+/// the table (empty when the key is absent) and throws CheckError when an
+/// entry names a trial that `bank` lacks, that is not running, or whose
+/// config differs from the bank's, or when two entries name one trial.
+void WriteInFlight(const InFlightJobs& in_flight, const TrialBank& bank,
+                   Json& snapshot);
+InFlightJobs ReadInFlight(const Json& snapshot, const TrialBank& bank);
 
 /// A rung's results and promotion marks.
 Json ToJson(const Rung& rung);
@@ -60,9 +62,10 @@ Rung RungFromJson(const Json& json);
 void CheckIdentity(const Json& stored, const Json& identity);
 
 /// RestorePolicy::kDropInFlight: the workers died with the service, so
-/// every job in `in_flight` — the scheduler's own map, which ReportLost
-/// erases from — is resolved as lost, in ascending trial order.
-void DropInFlight(Scheduler& scheduler,
-                  const std::map<TrialId, Job>& in_flight);
+/// every job in `in_flight` — the scheduler's own table, which ReportLost
+/// resolves from — is resolved as lost, in ascending trial order, with its
+/// trial's config from `bank`.
+void DropInFlight(Scheduler& scheduler, const InFlightJobs& in_flight,
+                  const TrialBank& bank);
 
 }  // namespace hypertune

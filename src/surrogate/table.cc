@@ -6,7 +6,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -14,6 +13,7 @@
 #include <fstream>
 
 #include "common/check.h"
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "surrogate/benchmark.h"
 
@@ -24,25 +24,6 @@ namespace {
 constexpr char kMagic[8] = {'H', 'T', 'T', 'B', '0', '0', '0', '1'};
 constexpr std::size_t kHeaderBytes = 24;
 constexpr std::uint32_t kFlagResumable = 1u << 0;
-
-std::uint32_t Crc32(const unsigned char* data, std::size_t n) {
-  static const auto table = [] {
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-      std::uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < n; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
 
 void ValidateShape(const TableData& data) {
   HT_CHECK_MSG(data.rows > 0, "table must have at least one row");
@@ -140,17 +121,21 @@ std::string PackTable(const TableData& data) {
   AppendDoubles(out, data.losses);
   AppendDoubles(out, data.cum_times);
   const std::uint32_t crc =
-      Crc32(reinterpret_cast<const unsigned char*>(out.data()) + kHeaderBytes,
-            out.size() - kHeaderBytes);
+      Crc32(out.data() + kHeaderBytes, out.size() - kHeaderBytes);
   std::memcpy(out.data() + 20, &crc, 4);
   return out;
 }
 
 TableVerifyStats VerifyTableFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
   HT_CHECK_MSG(in.good(), path << ": cannot open for verification");
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+  const std::streamoff size = in.tellg();
+  HT_CHECK_MSG(size >= 0, path << ": cannot size for verification");
+  std::string bytes(static_cast<std::size_t>(size), '\0');
+  in.seekg(0);
+  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  HT_CHECK_MSG(in.gcount() == static_cast<std::streamsize>(bytes.size()),
+               path << ": short read during verification");
   const ParsedHeader header =
       ParseHeader(reinterpret_cast<const unsigned char*>(bytes.data()),
                   bytes.size(), path);

@@ -45,7 +45,7 @@ TEST(Kde, PdfIntegratesToApproximatelyOne) {
 
 TEST(Kde, SamplesStayInUnitCubeAndNearMass) {
   std::vector<std::vector<double>> points{{0.95, 0.05}};
-  const KernelDensityEstimator kde(points, 1e-3, 3.0);
+  const KernelDensityEstimator kde(points, 3.0);
   Rng rng(2);
   for (int i = 0; i < 500; ++i) {
     const auto x = kde.Sample(rng);

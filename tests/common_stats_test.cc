@@ -95,14 +95,6 @@ TEST(Table, MarkdownLayout) {
   EXPECT_EQ(table.NumRows(), 2u);
 }
 
-TEST(Table, CsvEscaping) {
-  TextTable table({"x", "y"});
-  table.AddRow({"a,b", "he said \"hi\""});
-  const std::string csv = table.ToCsv();
-  EXPECT_NE(csv.find("\"a,b\""), std::string::npos);
-  EXPECT_NE(csv.find("\"he said \"\"hi\"\"\""), std::string::npos);
-}
-
 TEST(Table, RejectsOversizedRow) {
   TextTable table({"only"});
   EXPECT_THROW(table.AddRow({"1", "2"}), CheckError);

@@ -17,6 +17,7 @@
 #include "core/hyperband.h"
 #include "core/random_search.h"
 #include "core/sha.h"
+#include "core/trial_json.h"
 #include "lifecycle/hazards.h"
 #include "lifecycle/lifecycle.h"
 #include "registry/registry.h"
@@ -510,6 +511,90 @@ TEST(SnapshotGolden, TuningServerBytesArePinned) {
   EXPECT_NE(dump.find("\"leases\":[{"), std::string::npos);
   EXPECT_TRUE(std::regex_search(dump, std::regex("\"promoted\":\\[\\d")));
   ExpectPinned("server", dump, {40442876u, 18885});
+}
+
+// Restore cross-checks every "in_flight" entry against "trials", the only
+// record of a trial's config and status: a snapshot whose two lists disagree
+// is refused before the scheduler changes at all.
+
+/// Rewrites every in-flight job of `snapshot` through `edit`, descending
+/// into the brackets of the composite schedulers.
+Json EditInFlight(Json snapshot, const std::function<void(Job&)>& edit) {
+  if (snapshot.Has("brackets")) {
+    Json brackets = JsonArray{};
+    for (const auto& bracket : snapshot.at("brackets").AsArray()) {
+      brackets.PushBack(EditInFlight(bracket, edit));
+    }
+    snapshot.Set("brackets", std::move(brackets));
+  }
+  if (snapshot.Has("in_flight")) {
+    Json jobs = JsonArray{};
+    for (const auto& entry : snapshot.at("in_flight").AsArray()) {
+      Job job = JobFromJson(entry);
+      edit(job);
+      jobs.PushBack(ToJson(job));
+    }
+    snapshot.Set("in_flight", std::move(jobs));
+  }
+  return snapshot;
+}
+
+void ExpectKeepInFlightRestoreRefuses(
+    const std::function<Json(const Json&)>& edit) {
+  const SearchSpace space = UnitSpace();
+  const TunerEnv env{.space = &space, .R = 27};
+  TunerParams params;
+  params.eta = 3;
+  params.r_divisor = 27;
+  params.n = 27;
+  params.seed = 5;
+  for (const char* name :
+       {"asha", "sha", "hyperband", "async_hyperband", "random"}) {
+    auto original = MakeTuner(name, env, params);
+    RunGoldenScript(*original, 120);
+    const Json snapshot = original->Snapshot();
+    ASSERT_NE(snapshot.Dump().find("\"in_flight\":[{"), std::string::npos)
+        << name;
+    auto restored = MakeTuner(name, env, params);
+    EXPECT_THROW(
+        restored->Restore(edit(snapshot), RestorePolicy::kKeepInFlight),
+        CheckError)
+        << name;
+    // Refused before any state changed: the untouched snapshot still
+    // restores into the same instance, byte for byte.
+    EXPECT_EQ(restored->trials().size(), 0u) << name;
+    restored->Restore(snapshot, RestorePolicy::kKeepInFlight);
+    EXPECT_EQ(restored->Snapshot().Dump(), snapshot.Dump()) << name;
+  }
+}
+
+TEST(SnapshotFamily, RestoreRefusesInFlightTrialMissingFromBank) {
+  ExpectKeepInFlightRestoreRefuses([](const Json& snapshot) {
+    return EditInFlight(snapshot, [](Job& job) { job.trial_id += 100000; });
+  });
+}
+
+TEST(SnapshotFamily, RestoreRefusesInFlightTrialThatIsNotRunning) {
+  ExpectKeepInFlightRestoreRefuses([](const Json& snapshot) {
+    TrialBank bank = TrialBankFromJson(snapshot.at("trials"));
+    for (std::size_t id = 0; id < bank.size(); ++id) {
+      Trial& trial = bank.Get(static_cast<TrialId>(id));
+      if (trial.status == TrialStatus::kRunning) {
+        trial.status = TrialStatus::kPaused;
+      }
+    }
+    Json edited = snapshot;
+    edited.Set("trials", ToJson(bank));
+    return edited;
+  });
+}
+
+TEST(SnapshotFamily, RestoreRefusesInFlightConfigThatDiffersFromBank) {
+  ExpectKeepInFlightRestoreRefuses([](const Json& snapshot) {
+    return EditInFlight(snapshot, [](Job& job) {
+      job.config.Set("x", job.config.GetDouble("x") / 2);
+    });
+  });
 }
 
 }  // namespace
