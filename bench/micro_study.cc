@@ -5,10 +5,12 @@
 // The multiplexing claim (DESIGN.md §11) is that routing is O(log S) in
 // the study count — one ordered-map lookup plus the single study's own
 // work — so per-message cost must stay flat from 1 study to thousands.
-// These benches sweep S = 1..10k through the full scoped grant+report+tick
-// cycle, isolate Tick's O(due studies) contract with nothing due, and
-// price the "*" round-robin scan (the one deliberate scan). Curated
-// before/after numbers live in BENCH_studies.json.
+// These benches sweep S = 1..10k through the scoped grant+report cycle,
+// price the idle Tick — one O(S) pass over the studies, which the
+// transport runs once per tick interval, not per message — and price the
+// "*" round-robin scan. Curated before/after numbers live in
+// BENCH_studies.json; they predate the O(S) Tick and the cycles without a
+// manager Tick, so they are not comparable with these rows.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -62,8 +64,8 @@ StudyManagerOptions BenchOptions() {
   return options;
 }
 
-/// Loads `studies` tenants, each parked with one open lease so the
-/// deadline heap carries real entries (none ever due:
+/// Loads `studies` tenants, each parked with one open lease so every
+/// study's deadline heap carries a real entry (none ever due:
 /// lease_timeout is effectively infinite).
 void LoadStudies(StudyManager& manager, std::size_t studies) {
   for (std::size_t i = 0; i < studies; ++i) {
@@ -73,14 +75,15 @@ void LoadStudies(StudyManager& manager, std::size_t studies) {
   }
 }
 
-// The headline sweep: a full scoped lease cycle (request_job + report +
-// manager Tick) against a hot fleet of min(S, 8) studies while S tenants
-// (each holding a live lease) are resident. This isolates what tenancy
-// itself adds to a message — the routing lookup and the deadline-heap
-// bookkeeping — which must stay flat in S. Flat per-item time from S=1 to
-// S=1000 is the acceptance bar; S=10k bounds the tail. (Cycling through
-// ALL S tenants instead is measured separately below: that shape is bound
-// by CPU cache capacity, not by the manager.)
+// The headline sweep: a scoped lease cycle (request_job + report, each of
+// which ticks its own study) against a hot fleet of min(S, 8) studies
+// while S tenants (each holding a live lease) are resident. This isolates
+// what tenancy itself adds to a message — the routing lookup — which must
+// stay flat in S. The manager Tick is left out: the transport runs it once
+// per tick interval, and BM_StudyTickNothingDue prices it. Flat per-item
+// time from S=1 to S=1000 is the acceptance bar; S=10k bounds the tail.
+// (Cycling through ALL S tenants instead is measured separately below:
+// that shape is bound by CPU cache capacity, not by the manager.)
 void BM_StudyLeaseCycle(benchmark::State& state) {
   const auto studies = static_cast<std::size_t>(state.range(0));
   StudyManager manager(MakeStudySchedulerFactory(UnitSpace()),
@@ -98,7 +101,6 @@ void BM_StudyLeaseCycle(benchmark::State& state) {
     const Json grant = manager.HandleMessage(ScopedRequest(0, study), now);
     (void)manager.HandleMessage(
         ScopedReport(0, grant.at("job_id").AsInt(), study), now + 1e-7);
-    manager.Tick(now + 2e-7);
     now += 1e-6;
   }
   state.SetItemsProcessed(state.iterations());
@@ -131,17 +133,16 @@ void BM_StudyLeaseCycleRotatingTenants(benchmark::State& state) {
     const Json grant = manager.HandleMessage(ScopedRequest(0, study), now);
     (void)manager.HandleMessage(
         ScopedReport(0, grant.at("job_id").AsInt(), study), now + 1e-7);
-    manager.Tick(now + 2e-7);
     now += 1e-6;
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_StudyLeaseCycleRotatingTenants)->Arg(1)->Arg(100)->Arg(1000);
 
-// Tick with S studies holding live leases and none of them due: the lazy
-// deadline heap must make this one heap-top peek, not O(studies) — the
-// idle-expiry timer fires once a second in production and must not scale
-// with tenancy.
+// Tick with S studies holding live leases and none of them due: one pass
+// over the studies, each a heap-top peek — O(studies). The idle-expiry
+// timer fires once a second in production, so this bounds what tenancy
+// costs per second, not per message.
 void BM_StudyTickNothingDue(benchmark::State& state) {
   const auto studies = static_cast<std::size_t>(state.range(0));
   StudyManager manager(MakeStudySchedulerFactory(UnitSpace()),

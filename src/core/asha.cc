@@ -211,27 +211,38 @@ void AshaScheduler::RestoreState(const Json& snapshot, RestorePolicy policy,
                  "Restore requires an untouched trial bank");
   }
   CheckIdentity(snapshot.at("bracket"), Identity());
-  // Every in-flight entry is checked against the bank before any state
-  // changes; a composite restores the shared bank (and checks) beforehand.
+  // Parse and check every field into locals, then commit: a refused
+  // snapshot leaves the scheduler untouched. A composite restores the
+  // shared bank (and checks it) beforehand.
   TrialBank bank =
       restore_bank ? TrialBankFromJson(snapshot.at("trials")) : TrialBank{};
-  in_flight_ = ReadInFlight(snapshot, restore_bank ? bank : *bank_);
-  if (restore_bank) *bank_ = std::move(bank);
-
-  const auto& rungs = snapshot.at("rungs").AsArray();
-  rungs_.assign(std::max<std::size_t>(rungs.size(), 1), Rung{});
+  InFlightJobs in_flight =
+      ReadInFlight(snapshot, restore_bank ? bank : *bank_);
+  const auto& rung_json = snapshot.at("rungs").AsArray();
+  std::vector<Rung> rungs(std::max<std::size_t>(rung_json.size(), 1));
   if (!options_.infinite_horizon) {
-    rungs_.resize(static_cast<std::size_t>(geometry_.NumRungs()));
-    HT_CHECK_MSG(rungs.size() <= rungs_.size(),
+    rungs.resize(static_cast<std::size_t>(geometry_.NumRungs()));
+    HT_CHECK_MSG(rung_json.size() <= rungs.size(),
                  "snapshot has more rungs than the bracket allows");
   }
-  for (std::size_t k = 0; k < rungs.size(); ++k) {
-    rungs_[k] = RungFromJson(rungs[k]);
+  for (std::size_t k = 0; k < rung_json.size(); ++k) {
+    rungs[k] = RungFromJson(rung_json[k]);
   }
-  trials_created_ = snapshot.at("trials_created").AsInt();
-  resource_dispatched_ = snapshot.at("resource_dispatched").AsDouble();
-  ReadIncumbent(snapshot, incumbent_);
-  ReadRng(snapshot, rng_);
+  const auto trials_created = snapshot.at("trials_created").AsInt();
+  const double resource_dispatched =
+      snapshot.at("resource_dispatched").AsDouble();
+  IncumbentTracker incumbent = incumbent_;
+  ReadIncumbent(snapshot, incumbent);
+  Rng rng = rng_;
+  ReadRng(snapshot, rng);
+
+  if (restore_bank) *bank_ = std::move(bank);
+  in_flight_ = std::move(in_flight);
+  rungs_ = std::move(rungs);
+  trials_created_ = trials_created;
+  resource_dispatched_ = resource_dispatched;
+  incumbent_ = incumbent;
+  rng_ = rng;
   if (policy == RestorePolicy::kDropInFlight) {
     DropInFlight(*this, in_flight_, *bank_);
   }

@@ -80,12 +80,21 @@ void RandomSearchScheduler::Restore(const Json& snapshot,
   HT_CHECK_MSG(bank_->size() == 0 && in_flight_.empty(),
                "Restore requires a freshly constructed scheduler");
   CheckIdentity(snapshot, Identity());
+  // Parse and check every field into locals, then commit: a refused
+  // snapshot leaves the scheduler untouched.
   TrialBank bank = TrialBankFromJson(snapshot.at("trials"));
-  in_flight_ = ReadInFlight(snapshot, bank);  // checked before any change
+  InFlightJobs in_flight = ReadInFlight(snapshot, bank);
+  const auto trials_created = snapshot.at("trials_created").AsInt();
+  IncumbentTracker incumbent = incumbent_;
+  ReadIncumbent(snapshot, incumbent);
+  Rng rng = rng_;
+  ReadRng(snapshot, rng);
+
   *bank_ = std::move(bank);
-  trials_created_ = snapshot.at("trials_created").AsInt();
-  ReadIncumbent(snapshot, incumbent_);
-  ReadRng(snapshot, rng_);
+  in_flight_ = std::move(in_flight);
+  trials_created_ = trials_created;
+  incumbent_ = incumbent;
+  rng_ = rng;
   if (policy == RestorePolicy::kDropInFlight) {
     DropInFlight(*this, in_flight_, *bank_);
   }

@@ -301,13 +301,14 @@ void SyncShaScheduler::RestoreState(const Json& snapshot, RestorePolicy policy,
                  "Restore requires an untouched trial bank");
   }
   CheckIdentity(snapshot.at("bracket"), Identity());
-  // Every in-flight entry is checked against the bank before any state
-  // changes; a composite restores the shared bank (and checks) beforehand.
+  // Parse and check every field into locals, then commit: a refused
+  // snapshot leaves the scheduler untouched. A composite restores the
+  // shared bank (and checks it) beforehand.
   TrialBank bank =
       restore_bank ? TrialBankFromJson(snapshot.at("trials")) : TrialBank{};
-  in_flight_ = ReadInFlight(snapshot, restore_bank ? bank : *bank_);
-  if (restore_bank) *bank_ = std::move(bank);
-
+  InFlightJobs in_flight =
+      ReadInFlight(snapshot, restore_bank ? bank : *bank_);
+  std::vector<BracketInstance> instances;
   for (const auto& entry : snapshot.at("instances").AsArray()) {
     BracketInstance inst;
     for (const auto& ids : entry.at("queue").AsArray()) {
@@ -326,14 +327,24 @@ void SyncShaScheduler::RestoreState(const Json& snapshot, RestorePolicy policy,
     }
     inst.frontier = static_cast<int>(entry.at("frontier").AsInt());
     inst.complete = entry.at("complete").AsBool();
-    instances_.push_back(std::move(inst));
+    instances.push_back(std::move(inst));
   }
-
-  completed_brackets_ =
+  const auto completed_brackets =
       static_cast<std::size_t>(snapshot.at("completed_brackets").AsInt());
-  resource_dispatched_ = snapshot.at("resource_dispatched").AsDouble();
-  ReadIncumbent(snapshot, incumbent_);
-  ReadRng(snapshot, rng_);
+  const double resource_dispatched =
+      snapshot.at("resource_dispatched").AsDouble();
+  IncumbentTracker incumbent = incumbent_;
+  ReadIncumbent(snapshot, incumbent);
+  Rng rng = rng_;
+  ReadRng(snapshot, rng);
+
+  if (restore_bank) *bank_ = std::move(bank);
+  in_flight_ = std::move(in_flight);
+  instances_ = std::move(instances);
+  completed_brackets_ = completed_brackets;
+  resource_dispatched_ = resource_dispatched;
+  incumbent_ = incumbent;
+  rng_ = rng;
   // ReportLost shrinks the rung pool and settles frontiers exactly as live
   // worker deaths would.
   if (policy == RestorePolicy::kDropInFlight) {

@@ -74,7 +74,7 @@ bool WriteFileDurably(FileOps& ops, const std::string& path,
 }
 
 ServerOptions DurableServer::WithJournal(ServerOptions options,
-                                         LeaseEventSink* sink) {
+                                         JournalSink* sink) {
   HT_CHECK_MSG(options.journal == nullptr,
                "DurableServer installs its own journal sink");
   options.journal = sink;
@@ -273,18 +273,6 @@ void DurableServer::JournalAuxiliary(const Json& event) {
   JournalRecord(event);
 }
 
-void DurableServer::JournalControl(const Json& event) {
-  HT_CHECK_MSG(event.Has("kind") && event.at("kind").AsString() == "shift",
-               "control journal records must carry kind \"shift\"");
-  // Journal first, then mutate: matches the write path's "in-memory first,
-  // journaled within the same message" ordering closely enough — a crash
-  // between the two replays the shift on recovery, which is the state the
-  // live server was about to reach.
-  JournalRecord(event);
-  server_.ShiftDeadlines(event.at("delta").AsDouble());
-  MaybeSnapshot();
-}
-
 void DurableServer::MaybeSnapshot() {
   // While degraded the current snapshot+journal are the only recovery
   // story; compaction resumes with durability.
@@ -343,44 +331,6 @@ void DurableServer::PruneBefore(std::uint64_t keep) {
     if (generation && *generation < keep) stale.push_back(entry.path());
   }
   for (const auto& path : stale) std::filesystem::remove(path, ec);
-}
-
-void DurableServer::OnGrant(std::uint64_t job_id, std::uint64_t worker,
-                            const Job& job, double now) {
-  Json record = JsonObject{};
-  record.Set("kind", Json("grant"));
-  record.Set("job_id", Json(static_cast<std::int64_t>(job_id)));
-  record.Set("worker", Json(static_cast<std::int64_t>(worker)));
-  // The job itself is re-derived from the restored scheduler on replay;
-  // the trial id rides along so divergence fails loudly.
-  record.Set("trial", Json(job.trial_id));
-  record.Set("now", Json(now));
-  JournalRecord(std::move(record));
-}
-
-void DurableServer::OnReport(std::uint64_t job_id, double loss, double now) {
-  Json record = JsonObject{};
-  record.Set("kind", Json("report"));
-  record.Set("job_id", Json(static_cast<std::int64_t>(job_id)));
-  record.Set("loss", Json(loss));
-  record.Set("now", Json(now));
-  JournalRecord(std::move(record));
-}
-
-void DurableServer::OnRenew(std::uint64_t job_id, double now) {
-  Json record = JsonObject{};
-  record.Set("kind", Json("renew"));
-  record.Set("job_id", Json(static_cast<std::int64_t>(job_id)));
-  record.Set("now", Json(now));
-  JournalRecord(std::move(record));
-}
-
-void DurableServer::OnExpire(std::uint64_t job_id, double now) {
-  Json record = JsonObject{};
-  record.Set("kind", Json("expire"));
-  record.Set("job_id", Json(static_cast<std::int64_t>(job_id)));
-  record.Set("now", Json(now));
-  JournalRecord(std::move(record));
 }
 
 }  // namespace hypertune

@@ -8,12 +8,15 @@
 //   wal-%06u.log         every scheduler-mutating event since that snapshot
 //
 // The invariant: snapshot(g) + replay(wal(g)) == the live server at the
-// moment of the last journaled event. Every mutation is applied to the
-// in-memory server first and journaled immediately after (within the same
-// message), so a crash loses at most the mutations of the message being
-// handled — and the chaos harness (tools/chaos_recovery.cc) kills servers
-// at message boundaries to prove the recovered decision sequence is
-// byte-identical to an uninterrupted run.
+// moment of the last journaled event. The wrapped TuningServer owns the
+// record format: it applies every lease event in memory first and hands
+// the event's record to this class (its JournalSink) immediately after,
+// within the same message; recovery hands the records back to
+// TuningServer::ReplayJournalEvent. A crash therefore loses at most the
+// mutations of the message being handled — and the chaos harness
+// (tools/chaos_recovery.cc) kills servers at message boundaries to prove
+// the recovered decision sequence is byte-identical to an uninterrupted
+// run.
 //
 // Snapshots compact the journal: after `snapshot_every` journaled records
 // the server state is written to snapshot-(g+1) (atomically, via
@@ -99,7 +102,7 @@ struct DurabilityStats {
 /// durability returns. Snapshot-write failures are softer — counted and
 /// retried at the next boundary — because the current generation's
 /// snapshot+journal remain the recovery story throughout.
-class DurableServer final : public MessageService, public LeaseEventSink {
+class DurableServer final : public MessageService, public JournalSink {
  public:
   /// `server_options.journal` must be unset; DurableServer installs itself.
   /// CheckError unless `scheduler.SupportsSnapshot()`: compaction
@@ -118,13 +121,6 @@ class DurableServer final : public MessageService, public LeaseEventSink {
   /// can reconstruct *why* a run unfolded as it did, not just *what* the
   /// scheduler decided.
   void JournalAuxiliary(const Json& event);
-
-  /// Journals a control record that IS replayed (unlike auxiliaries) and
-  /// applies it to the live server. The only kind today is the study
-  /// manager's "shift" (a resume-time lease-deadline shift; see
-  /// TuningServer::ShiftDeadlines) — journaled so a post-crash replay
-  /// reproduces the shifted deadlines instead of expiring frozen leases.
-  void JournalControl(const Json& event);
 
   /// Forces a compacting snapshot now (also fsyncs the journal first).
   void TakeSnapshot();
@@ -147,12 +143,9 @@ class DurableServer final : public MessageService, public LeaseEventSink {
   std::size_t buffered_records() const { return buffered_.size(); }
   DurabilityStats durability_stats() const { return stats_; }
 
-  // LeaseEventSink — invoked by the wrapped server after each mutation.
-  void OnGrant(std::uint64_t job_id, std::uint64_t worker, const Job& job,
-               double now) override;
-  void OnReport(std::uint64_t job_id, double loss, double now) override;
-  void OnRenew(std::uint64_t job_id, double now) override;
-  void OnExpire(std::uint64_t job_id, double now) override;
+  /// JournalSink — the wrapped server hands over one record per lease
+  /// event. Appends it to the journal, or buffers it while degraded.
+  void JournalRecord(Json record) override;
 
  private:
   std::string SnapshotPath(std::uint64_t generation) const;
@@ -160,7 +153,6 @@ class DurableServer final : public MessageService, public LeaseEventSink {
   /// Restores snapshot + journal tail from the highest generation on disk;
   /// returns false when the dir holds no prior state.
   bool Recover();
-  void JournalRecord(Json record);
   void MaybeSnapshot();
   /// Deletes snapshots/journals of generations before `keep`.
   void PruneBefore(std::uint64_t keep);
@@ -172,8 +164,7 @@ class DurableServer final : public MessageService, public LeaseEventSink {
   void TryResumeJournal();
   WalWriteOptions WalOptions() const;
 
-  static ServerOptions WithJournal(ServerOptions options,
-                                   LeaseEventSink* sink);
+  static ServerOptions WithJournal(ServerOptions options, JournalSink* sink);
 
   TuningServer server_;
   DurabilityOptions durability_;

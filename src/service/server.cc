@@ -72,60 +72,47 @@ Json LeaseArgs(std::uint64_t job_id, std::uint64_t worker, TrialId trial,
   return args;
 }
 
+/// A journal record's common head: {"kind":kind,"job_id":job_id}. Each
+/// mutation appends its own fields and "now" last; the key order is the
+/// journal's byte format.
+Json LeaseRecord(const char* kind, std::uint64_t job_id) {
+  Json record = JsonObject{};
+  record.Set("kind", Json(kind));
+  record.Set("job_id", Json(static_cast<std::int64_t>(job_id)));
+  return record;
+}
+
 }  // namespace
 
 void TuningServer::Tick(double now) {
   if (frozen_) return;  // suspended study: leases are frozen, not expiring
-  // Drain due heap entries, discarding stale ones (renewed leases leave
-  // their superseded deadlines behind; expired leases may leave renewal
-  // entries). The lease map is authoritative: an entry only expires a
-  // lease whose *current* deadline is due.
-  std::vector<std::pair<std::uint64_t, Lease>> expired;
-  while (!deadlines_.empty() && deadlines_.top().deadline <= now) {
-    const DeadlineEntry due = deadlines_.top();
-    deadlines_.pop();
-    const auto it = leases_.find(due.job_id);
-    if (it == leases_.end()) continue;      // lease reported or expired: stale
-    if (it->second.deadline > now) continue;  // renewed: stale entry
-    expired.emplace_back(due.job_id, std::move(it->second));
-    leases_.erase(it);
-  }
-  if (expired.empty()) return;
-  // Process in ascending job id — the order the pre-heap full-scan server
-  // expired in — so traces and scheduler call sequences stay identical.
-  std::sort(expired.begin(), expired.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (auto& [job_id, lease] : expired) {
-    // The worker is presumed dead or partitioned: its work is gone.
-    if (options_.telemetry != nullptr) {
-      options_.telemetry->EventAt(
-          now, "lease_expired", "lease",
-          LeaseArgs(job_id, lease.worker, lease.leased.job.trial_id,
-                    options_.study_label));
-      options_.telemetry->Count("server.leases_expired");
-    }
-    lifecycle_.Lose(lease.leased, RunTiming{lease.granted_at, now, 0,
-                                            static_cast<int>(lease.worker)});
-    ++stats_.leases_expired;
-    if (options_.journal != nullptr) options_.journal->OnExpire(job_id, now);
-  }
-}
-
-std::optional<double> TuningServer::EarliestDeadline() {
-  // Pop stale tops (renewed or resolved leases) until the heap front agrees
-  // with the authoritative lease map; what remains is the true next expiry.
+  // Pop heap tops until the front is a live entry that is not yet due. An
+  // entry is live while it carries its lease's authoritative deadline;
+  // renewals and resolutions leave stale entries behind, and dropping them
+  // here whether or not they are due keeps the heap near the live-lease
+  // count between expiries.
+  std::vector<std::uint64_t> due;
   while (!deadlines_.empty()) {
     const DeadlineEntry& top = deadlines_.top();
     const auto it = leases_.find(top.job_id);
     if (it != leases_.end() && it->second.deadline == top.deadline) {
-      return top.deadline;
+      if (top.deadline > now) break;
+      due.push_back(top.job_id);
     }
     deadlines_.pop();
   }
-  return std::nullopt;
+  // Expire in ascending job id — the order the pre-heap full-scan server
+  // expired in — so traces and scheduler call sequences stay identical. Two
+  // renewals at one instant leave two identical entries, hence unique.
+  std::sort(due.begin(), due.end());
+  due.erase(std::unique(due.begin(), due.end()), due.end());
+  for (const std::uint64_t job_id : due) {
+    // The worker is presumed dead or partitioned: its work is gone.
+    ExpireLease(leases_.find(job_id), now);
+  }
 }
 
-void TuningServer::ShiftDeadlines(double delta) {
+void TuningServer::ShiftDeadlines(double delta, double now) {
   // Rebuilding from the lease map also drops every stale heap entry, so a
   // long suspension doesn't resurface pre-suspension ghosts afterwards.
   std::vector<DeadlineEntry> entries;
@@ -136,45 +123,127 @@ void TuningServer::ShiftDeadlines(double delta) {
   }
   deadlines_ = decltype(deadlines_)(std::greater<DeadlineEntry>{},
                                     std::move(entries));
+  if (JournalSink* journal = live_journal()) {
+    Json record = JsonObject{};
+    record.Set("kind", Json("shift"));
+    record.Set("delta", Json(delta));
+    record.Set("now", Json(now));
+    journal->JournalRecord(std::move(record));
+  }
 }
 
-std::optional<std::pair<std::uint64_t, Job>> TuningServer::GrantLease(
-    std::uint64_t worker, double now) {
+const TuningServer::Lease* TuningServer::OpenLease(std::uint64_t worker,
+                                                   double now) {
   auto leased = lifecycle_.Acquire();
-  if (!leased) return std::nullopt;
+  if (!leased) return nullptr;
   // Lease ids are dense from 1 in grant order — exactly the job-id sequence
   // the pre-lifecycle server minted itself, so the wire format is unchanged.
   const std::uint64_t job_id = leased->lease_id;
-  const Job job = leased->job;
   const double deadline = now + options_.lease_timeout;
-  leases_[job_id] = Lease{*std::move(leased), worker, deadline, now};
+  const Lease& lease =
+      leases_.insert_or_assign(job_id,
+                               Lease{*std::move(leased), worker, deadline, now})
+          .first->second;
   deadlines_.push({deadline, job_id});
   ++stats_.jobs_assigned;
-  if (options_.telemetry != nullptr) {
+  const Job& job = lease.leased.job;
+  if (Telemetry* telemetry = live_telemetry()) {
     Json args = LeaseArgs(job_id, worker, job.trial_id, options_.study_label);
     args.Set("rung", Json(job.rung));
     args.Set("deadline", Json(deadline));
-    options_.telemetry->EventAt(now, "lease_granted", "lease",
-                                std::move(args));
-    options_.telemetry->Count("server.jobs_assigned");
+    telemetry->EventAt(now, "lease_granted", "lease", std::move(args));
+    telemetry->Count("server.jobs_assigned");
   }
-  if (options_.journal != nullptr) {
-    options_.journal->OnGrant(job_id, worker, job, now);
+  if (JournalSink* journal = live_journal()) {
+    Json record = LeaseRecord("grant", job_id);
+    record.Set("worker", Json(static_cast<std::int64_t>(worker)));
+    // The job itself is re-derived from the restored scheduler on replay;
+    // the trial id rides along so divergence fails loudly.
+    record.Set("trial", Json(job.trial_id));
+    record.Set("now", Json(now));
+    journal->JournalRecord(std::move(record));
   }
-  return std::make_pair(job_id, job);
+  return &lease;
+}
+
+void TuningServer::CompleteLease(LeaseMap::iterator it, double loss,
+                                 double now) {
+  const std::uint64_t job_id = it->first;
+  const Lease& lease = it->second;
+  if (Telemetry* telemetry = live_telemetry()) {
+    Json args = LeaseArgs(job_id, lease.worker, lease.leased.job.trial_id,
+                          options_.study_label);
+    args.Set("loss", Json(loss));
+    telemetry->EventAt(now, "job_reported", "lease", std::move(args));
+    telemetry->Count("server.jobs_completed");
+  }
+  lifecycle_.Complete(lease.leased, loss,
+                      RunTiming{lease.granted_at, now, 0,
+                                static_cast<int>(lease.worker)});
+  // The heap entry for this lease goes stale; Tick drops it once it
+  // reaches the top.
+  leases_.erase(it);
+  ++stats_.jobs_completed;
+  if (JournalSink* journal = live_journal()) {
+    Json record = LeaseRecord("report", job_id);
+    record.Set("loss", Json(loss));
+    record.Set("now", Json(now));
+    journal->JournalRecord(std::move(record));
+  }
+}
+
+void TuningServer::ExpireLease(LeaseMap::iterator it, double now) {
+  const std::uint64_t job_id = it->first;
+  const Lease& lease = it->second;
+  if (Telemetry* telemetry = live_telemetry()) {
+    telemetry->EventAt(now, "lease_expired", "lease",
+                       LeaseArgs(job_id, lease.worker,
+                                 lease.leased.job.trial_id,
+                                 options_.study_label));
+    telemetry->Count("server.leases_expired");
+  }
+  lifecycle_.Lose(lease.leased, RunTiming{lease.granted_at, now, 0,
+                                          static_cast<int>(lease.worker)});
+  leases_.erase(it);
+  ++stats_.leases_expired;
+  if (JournalSink* journal = live_journal()) {
+    Json record = LeaseRecord("expire", job_id);
+    record.Set("now", Json(now));
+    journal->JournalRecord(std::move(record));
+  }
+}
+
+void TuningServer::RenewLease(LeaseMap::iterator it, double now) {
+  const std::uint64_t job_id = it->first;
+  Lease& lease = it->second;
+  lease.deadline = now + options_.lease_timeout;
+  // The previous entry stays in the heap until Tick finds it stale.
+  deadlines_.push({lease.deadline, job_id});
+  if (Telemetry* telemetry = live_telemetry()) {
+    telemetry->EventAt(now, "lease_renewed", "lease",
+                       LeaseArgs(job_id, lease.worker,
+                                 lease.leased.job.trial_id,
+                                 options_.study_label));
+    telemetry->Count("server.leases_renewed");
+  }
+  if (JournalSink* journal = live_journal()) {
+    Json record = LeaseRecord("renew", job_id);
+    record.Set("now", Json(now));
+    journal->JournalRecord(std::move(record));
+  }
 }
 
 Json TuningServer::HandleRequestJob(const Json& message, double now) {
   const auto worker = static_cast<std::uint64_t>(message.at("worker").AsInt());
-  auto granted = GrantLease(worker, now);
+  const Lease* lease = OpenLease(worker, now);
   // Synchronous tuners stall at rung barriers; tell the worker when to
   // retry rather than leaving it to guess.
-  if (!granted) return NoJobReply(options_.lease_timeout / 4);
+  if (lease == nullptr) return NoJobReply(options_.lease_timeout / 4);
 
   Json reply = JsonObject{};
   reply.Set("type", Json("job"));
-  reply.Set("job_id", Json(static_cast<std::int64_t>(granted->first)));
-  reply.Set("job", ToJson(granted->second));
+  reply.Set("job_id", Json(static_cast<std::int64_t>(lease->leased.lease_id)));
+  reply.Set("job", ToJson(lease->leased.job));
   reply.Set("lease_timeout", Json(options_.lease_timeout));
   return reply;
 }
@@ -190,11 +259,12 @@ Json TuningServer::HandleRequestJobs(const Json& message, double now) {
   Json jobs = JsonArray{};
   std::size_t granted_count = 0;
   for (std::size_t i = 0; i < count; ++i) {
-    auto granted = GrantLease(worker, now);
-    if (!granted) break;  // scheduler dry (barrier stall / trial cap): stop
+    const Lease* lease = OpenLease(worker, now);
+    if (lease == nullptr) break;  // scheduler dry (barrier stall / trial cap)
     Json entry = JsonObject{};
-    entry.Set("job_id", Json(static_cast<std::int64_t>(granted->first)));
-    entry.Set("job", ToJson(granted->second));
+    entry.Set("job_id",
+              Json(static_cast<std::int64_t>(lease->leased.lease_id)));
+    entry.Set("job", ToJson(lease->leased.job));
     jobs.PushBack(std::move(entry));
     ++granted_count;
   }
@@ -237,25 +307,7 @@ Json TuningServer::HandleReport(const Json& message, double now) {
   // the worker's retry and earns an error reply, not a crash.
   const double loss = message.at("loss").AsDouble();
   ValidateReportedLoss(loss);
-  if (options_.telemetry != nullptr) {
-    Json args =
-        LeaseArgs(job_id, it->second.worker, it->second.leased.job.trial_id,
-                  options_.study_label);
-    args.Set("loss", Json(loss));
-    options_.telemetry->EventAt(now, "job_reported", "lease",
-                                std::move(args));
-    options_.telemetry->Count("server.jobs_completed");
-  }
-  lifecycle_.Complete(it->second.leased, loss,
-                      RunTiming{it->second.granted_at, now, 0,
-                                static_cast<int>(it->second.worker)});
-  // The heap entry for this lease goes stale and is discarded when it
-  // surfaces — lazy deletion keeps reports O(log L)-free entirely.
-  leases_.erase(it);
-  ++stats_.jobs_completed;
-  if (options_.journal != nullptr) {
-    options_.journal->OnReport(job_id, loss, now);
-  }
+  CompleteLease(it, loss, now);
   return AckReply();
 }
 
@@ -268,19 +320,7 @@ Json TuningServer::HandleHeartbeat(const Json& message, double now) {
     reply.Set("type", Json("lease_lost"));
     return reply;
   }
-  const double deadline = now + options_.lease_timeout;
-  it->second.deadline = deadline;
-  // Lazy deletion: the previous entry stays in the heap and is skipped
-  // against the authoritative deadline when it comes due.
-  deadlines_.push({deadline, job_id});
-  if (options_.telemetry != nullptr) {
-    options_.telemetry->EventAt(
-        now, "lease_renewed", "lease",
-        LeaseArgs(job_id, it->second.worker, it->second.leased.job.trial_id,
-                  options_.study_label));
-    options_.telemetry->Count("server.leases_renewed");
-  }
-  if (options_.journal != nullptr) options_.journal->OnRenew(job_id, now);
+  RenewLease(it, now);
   return AckReply();
 }
 
@@ -381,78 +421,52 @@ void TuningServer::Restore(const Json& snapshot) {
 
 void TuningServer::ReplayJournalEvent(const Json& event) {
   const std::string& kind = event.at("kind").AsString();
+  if (kind == "hazard") return;  // audit-only record; worker state survives
   const double now = event.at("now").AsDouble();
+  replaying_ = true;
+  struct ReplayScope {
+    bool& replaying;
+    ~ReplayScope() { replaying = false; }
+  } scope{replaying_};
+  if (kind == "shift") {
+    // A resume shifted every open deadline by the suspension's duration.
+    // Without replaying it, leases granted before a pre-crash suspension
+    // would expire spuriously on the first post-recovery tick.
+    ShiftDeadlines(event.at("delta").AsDouble(), now);
+    return;
+  }
+  if (kind != "grant" && kind != "report" && kind != "renew" &&
+      kind != "expire") {
+    throw CheckError("journal replay: unknown event kind '" + kind + "'");
+  }
+  const auto job_id = static_cast<std::uint64_t>(event.at("job_id").AsInt());
   if (kind == "grant") {
-    const auto job_id =
-        static_cast<std::uint64_t>(event.at("job_id").AsInt());
-    const auto worker =
-        static_cast<std::uint64_t>(event.at("worker").AsInt());
     // Replay by re-derivation: the restored scheduler must produce exactly
     // the job the live server granted. The journal carries the expected
     // identity so divergence fails loudly here rather than corrupting the
     // run downstream.
-    auto leased = lifecycle_.Acquire();
-    HT_CHECK_MSG(leased.has_value(),
-                 "journal replay: scheduler had no job for grant "
-                     << job_id);
-    HT_CHECK_MSG(leased->lease_id == job_id &&
-                     leased->job.trial_id == event.at("trial").AsInt(),
+    const Lease* lease = OpenLease(
+        static_cast<std::uint64_t>(event.at("worker").AsInt()), now);
+    HT_CHECK_MSG(lease != nullptr,
+                 "journal replay: scheduler had no job for grant " << job_id);
+    HT_CHECK_MSG(lease->leased.lease_id == job_id &&
+                     lease->leased.job.trial_id == event.at("trial").AsInt(),
                  "journal replay diverged at grant "
-                     << job_id << ": re-derived lease " << leased->lease_id
-                     << " trial " << leased->job.trial_id);
-    const double deadline = now + options_.lease_timeout;
-    leases_[job_id] = Lease{*std::move(leased), worker, deadline, now};
-    deadlines_.push({deadline, job_id});
-    ++stats_.jobs_assigned;
+                     << job_id << ": re-derived lease "
+                     << lease->leased.lease_id << " trial "
+                     << lease->leased.job.trial_id);
     return;
   }
+  const auto it = leases_.find(job_id);
+  HT_CHECK_MSG(it != leases_.end(),
+               "journal replay: " << kind << " for unknown lease " << job_id);
   if (kind == "report") {
-    const auto job_id =
-        static_cast<std::uint64_t>(event.at("job_id").AsInt());
-    const auto it = leases_.find(job_id);
-    HT_CHECK_MSG(it != leases_.end(),
-                 "journal replay: report for unknown lease " << job_id);
-    lifecycle_.Complete(it->second.leased, event.at("loss").AsDouble(),
-                        RunTiming{it->second.granted_at, now, 0,
-                                  static_cast<int>(it->second.worker)});
-    leases_.erase(it);
-    ++stats_.jobs_completed;
-    return;
+    CompleteLease(it, event.at("loss").AsDouble(), now);
+  } else if (kind == "renew") {
+    RenewLease(it, now);
+  } else {
+    ExpireLease(it, now);
   }
-  if (kind == "renew") {
-    const auto job_id =
-        static_cast<std::uint64_t>(event.at("job_id").AsInt());
-    const auto it = leases_.find(job_id);
-    HT_CHECK_MSG(it != leases_.end(),
-                 "journal replay: renew for unknown lease " << job_id);
-    const double deadline = now + options_.lease_timeout;
-    it->second.deadline = deadline;
-    deadlines_.push({deadline, job_id});
-    return;
-  }
-  if (kind == "expire") {
-    const auto job_id =
-        static_cast<std::uint64_t>(event.at("job_id").AsInt());
-    const auto it = leases_.find(job_id);
-    HT_CHECK_MSG(it != leases_.end(),
-                 "journal replay: expiry for unknown lease " << job_id);
-    lifecycle_.Lose(it->second.leased,
-                    RunTiming{it->second.granted_at, now, 0,
-                              static_cast<int>(it->second.worker)});
-    leases_.erase(it);
-    ++stats_.leases_expired;
-    return;
-  }
-  if (kind == "shift") {
-    // Study-manager control record: a resume shifted every open deadline by
-    // the suspension's duration. Without replaying it, leases granted before
-    // a pre-crash suspension would expire spuriously on the first
-    // post-recovery tick.
-    ShiftDeadlines(event.at("delta").AsDouble());
-    return;
-  }
-  if (kind == "hazard") return;  // audit-only record; worker state survives
-  throw CheckError("journal replay: unknown event kind '" + kind + "'");
 }
 
 }  // namespace hypertune

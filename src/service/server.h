@@ -30,13 +30,19 @@
 // Scaling contract (Figure 5 regime — hundreds to thousands of workers on
 // one server): expiry checks ride a lazy-deletion deadline min-heap, so a
 // message costs O(log L) amortized in the number of live leases instead of
-// a full lease rescan; heartbeat renewals push a fresh heap entry and the
-// stale one is discarded against the authoritative lease map when it
-// surfaces. Batched `request_jobs` leases up to K jobs in one round-trip
-// (one expiry sweep, one reply array), cutting per-job protocol overhead
-// for prefetching workers. The single-job `request_job` path is
-// bit-compatible with the pre-heap server: same replies, same telemetry
-// events, same scheduler call sequence.
+// a full lease rescan; heartbeat renewals push a fresh heap entry, and
+// every Tick discards the stale ones that have reached the top against the
+// authoritative lease map, due or not. Batched `request_jobs` leases up to
+// K jobs in one round-trip (one expiry sweep, one reply array), cutting
+// per-job protocol overhead for prefetching workers. The single-job
+// `request_job` path is bit-compatible with the pre-heap server: same
+// replies, same telemetry events, same scheduler call sequence.
+//
+// The server is the one owner of lease state. Each lease event — grant,
+// report, renewal, expiry, resume-time deadline shift — is one private
+// mutation that applies the event, emits its telemetry, and hands its
+// journal record to ServerOptions::journal; ReplayJournalEvent parses the
+// same records back into the same mutations (DESIGN.md §7).
 //
 // The server is single-threaded and clock-agnostic: callers pass `now`
 // into every entry point, so it runs identically under the simulator's
@@ -59,23 +65,16 @@ namespace hypertune {
 
 class Telemetry;
 
-/// Observer of the server's scheduler-mutating events, notified after each
-/// mutation within the handling of one message. The durability layer
-/// (src/durability) implements this to append write-ahead-journal records;
-/// ReplayJournalEvent applies the same four event kinds on recovery.
-class LeaseEventSink {
+/// Where a server's journal records go. TuningServer builds one record per
+/// lease event (kinds "grant", "report", "renew", "expire", "shift"), hands
+/// it here right after applying the event within the same message, and
+/// parses the same records back in ReplayJournalEvent. The durability layer
+/// (src/durability) implements this to append them to its write-ahead
+/// journal.
+class JournalSink {
  public:
-  virtual ~LeaseEventSink() = default;
-  /// A lease was granted: `job_id` (== lifecycle lease id) now runs `job`
-  /// on `worker`.
-  virtual void OnGrant(std::uint64_t job_id, std::uint64_t worker,
-                       const Job& job, double now) = 0;
-  /// The lease reported its loss and was resolved.
-  virtual void OnReport(std::uint64_t job_id, double loss, double now) = 0;
-  /// A heartbeat renewed the lease (moves its expiry deadline).
-  virtual void OnRenew(std::uint64_t job_id, double now) = 0;
-  /// The lease expired and its job was reported lost.
-  virtual void OnExpire(std::uint64_t job_id, double now) = 0;
+  virtual ~JournalSink() = default;
+  virtual void JournalRecord(Json record) = 0;
 };
 
 /// The transport-agnostic face of the tuning service: one protocol message
@@ -131,10 +130,10 @@ struct ServerOptions {
   /// vector push per change.
   bool track_recommendations = false;
   /// Optional write-ahead journal sink (not owned; must outlive the
-  /// server). Notified after every scheduler-mutating event — lease
-  /// granted, loss reported, lease renewed, lease expired — so a
-  /// durability layer can journal them and replay after a crash.
-  LeaseEventSink* journal = nullptr;
+  /// server). Receives one record after every lease event — granted,
+  /// reported, renewed, expired, deadlines shifted — so a durability layer
+  /// can journal them and replay after a crash.
+  JournalSink* journal = nullptr;
   /// Multi-tenant label: when non-empty, every lease lifecycle event this
   /// server emits carries a `"study"` argument so traces from co-hosted
   /// studies (src/study) can be told apart. Empty (the default) emits the
@@ -165,22 +164,18 @@ class TuningServer : public MessageService {
 
   /// Expires overdue leases (call periodically; HandleMessage also calls
   /// it, so a busy service needs no separate timer — an idle one does: see
-  /// NetServerOptions::tick_interval). O(E log L) for E expiries — a no-op
-  /// sweep touches only the heap top.
+  /// NetServerOptions::tick_interval). Also drops stale heap tops (renewed
+  /// or resolved leases) whether or not they are due, so the deadline heap
+  /// stays near the live-lease count. O(E log L) for E expiries and stale
+  /// tops — a no-op sweep touches only the heap top.
   void Tick(double now) override;
 
-  /// The earliest authoritative lease deadline, or nullopt with no open
-  /// leases. Cleans stale heap tops as a side effect (amortized against the
-  /// renewals that created them), so a caller scheduling tick work — the
-  /// study manager's deadline index — gets the true next expiry,
-  /// not a lazily deleted ghost.
-  std::optional<double> EarliestDeadline();
-
-  /// Shifts every open lease deadline by `delta` and rebuilds the expiry
-  /// heap. The study manager calls this on resume so a suspension freezes
-  /// leases (workers were not dead, the study was paused) instead of
-  /// expiring them en masse on the first post-resume tick. O(L log L).
-  void ShiftDeadlines(double delta);
+  /// Shifts every open lease deadline by `delta`, rebuilds the expiry heap
+  /// and journals a "shift" record stamped `now`. The study manager calls
+  /// this on resume so a suspension freezes leases (workers were not dead,
+  /// the study was paused) instead of expiring them en masse on the first
+  /// post-resume tick — and so recovery replays the same shift. O(L log L).
+  void ShiftDeadlines(double delta, double now);
 
   /// Freezes the expiry clock: Tick becomes a no-op until unfrozen. The
   /// study manager freezes suspended studies — every HandleMessage ticks
@@ -219,13 +214,13 @@ class TuningServer : public MessageService {
   /// tail and lets Tick re-expire whatever the dead workers never finish.
   void Restore(const Json& snapshot);
 
-  /// Applies one journaled event (kinds "grant" / "report" / "renew" /
-  /// "expire", plus the study manager's "shift" control record, which
-  /// re-applies a resume-time deadline shift) during recovery. Grants are replayed by re-derivation: the
+  /// Applies one journaled record during recovery, through the same
+  /// mutation the live event ran. Grants are replayed by re-derivation: the
   /// restored scheduler is asked for its next job, and the result is
   /// checked against the journaled job id and trial — divergence is a
-  /// CheckError, not a silent corruption. No telemetry or journal output
-  /// is emitted while replaying.
+  /// CheckError, not a silent corruption, and so is a record for an unknown
+  /// lease. "hazard" records are audit-only and skipped. No telemetry or
+  /// journal output is emitted while replaying.
   void ReplayJournalEvent(const Json& event);
 
  private:
@@ -239,7 +234,7 @@ class TuningServer : public MessageService {
 
   /// One (deadline, job) entry in the lazy-deletion expiry heap. Renewals
   /// push a fresh entry instead of re-keying; an entry is stale when its
-  /// lease is gone or carries a later authoritative deadline.
+  /// lease is gone or carries another authoritative deadline.
   struct DeadlineEntry {
     double deadline = 0;
     std::uint64_t job_id = 0;
@@ -249,27 +244,49 @@ class TuningServer : public MessageService {
     }
   };
 
+  using LeaseMap = std::map<std::uint64_t, Lease>;
+
   Json HandleRequestJob(const Json& message, double now);
   Json HandleRequestJobs(const Json& message, double now);
   Json HandleReport(const Json& message, double now);
   Json HandleHeartbeat(const Json& message, double now);
-  /// Leases one job from the lifecycle core and opens its server lease
-  /// (heap entry, telemetry, stats). Shared by the single and batched
-  /// request paths. The protocol job id IS the lifecycle lease id.
-  std::optional<std::pair<std::uint64_t, Job>> GrantLease(std::uint64_t worker,
-                                                          double now);
+
+  // One mutation per lease event. The live handlers and ReplayJournalEvent
+  // both run these; each emits its telemetry event and journal record
+  // unless replaying. The protocol job id IS the lifecycle lease id.
+
+  /// Leases the scheduler's next job to `worker` and opens its lease;
+  /// nullptr when the scheduler has nothing to hand out.
+  const Lease* OpenLease(std::uint64_t worker, double now);
+  /// Resolves the lease with its reported loss.
+  void CompleteLease(LeaseMap::iterator it, double loss, double now);
+  /// Resolves the lease as lost (its deadline passed).
+  void ExpireLease(LeaseMap::iterator it, double now);
+  /// Moves the lease's deadline to `now + lease_timeout`.
+  void RenewLease(LeaseMap::iterator it, double now);
+
+  /// The telemetry sink for live events; null while replaying.
+  Telemetry* live_telemetry() const {
+    return replaying_ ? nullptr : options_.telemetry;
+  }
+  /// The journal sink for live events; null while replaying.
+  JournalSink* live_journal() const {
+    return replaying_ ? nullptr : options_.journal;
+  }
 
   Scheduler& scheduler_;
   ServerOptions options_;
   /// The shared lease→run→outcome core (leasing, exactly-once validation,
   /// RunRecords). Single-threaded like the server itself.
   TrialLifecycle lifecycle_;
-  std::map<std::uint64_t, Lease> leases_;  // job_id -> lease (authoritative)
+  LeaseMap leases_;  // job_id -> lease (authoritative)
   std::priority_queue<DeadlineEntry, std::vector<DeadlineEntry>,
                       std::greater<DeadlineEntry>>
       deadlines_;
   ServerStats stats_;
   bool frozen_ = false;
+  /// True while ReplayJournalEvent applies a record.
+  bool replaying_ = false;
 };
 
 }  // namespace hypertune

@@ -66,18 +66,6 @@ StudyManager::Study* StudyManager::Find(const std::string& name) {
   return it == studies_.end() ? nullptr : it->second.get();
 }
 
-void StudyManager::IndexDeadline(Study& study) {
-  const auto earliest = study.server->EarliestDeadline();
-  if (!earliest) return;
-  // An entry at or before the current earliest is already queued; it will
-  // re-probe the study when it pops. Only a genuinely new (or earlier)
-  // deadline needs an entry.
-  if (study.indexed_valid && study.indexed_deadline <= *earliest) return;
-  deadlines_.push({*earliest, study.name});
-  study.indexed_deadline = *earliest;
-  study.indexed_valid = true;
-}
-
 std::string StudyManager::StudyDir(const std::string& name) const {
   return (std::filesystem::path(options_.durability_root) / "studies" / name)
       .string();
@@ -178,9 +166,7 @@ void StudyManager::RecoverStudies() {
         study->server->SetFrozen(true);
       }
     }
-    Study& ref = *study;
     studies_.emplace(name, std::move(study));
-    if (!ref.suspended) IndexDeadline(ref);
     ++stats_.recovered;
   }
 }
@@ -240,26 +226,14 @@ bool StudyManager::ResumeStudy(const std::string& name, double now) {
   Study* study = Find(name);
   if (study == nullptr) return false;
   if (!study->suspended) return true;  // idempotent
+  // Every open deadline shifts by the pause; the server journals the shift
+  // so recovery reproduces it instead of expiring every frozen lease.
   const double delta = now - study->suspended_at;
-  if (delta > 0) {
-    if (study->durable != nullptr) {
-      // Journaled control record: replay must reproduce the shifted
-      // deadlines, or recovery would expire every lease that was frozen
-      // across the suspension. JournalControl also applies the shift.
-      Json record = JsonObject{};
-      record.Set("kind", Json("shift"));
-      record.Set("delta", Json(delta));
-      record.Set("now", Json(now));
-      study->durable->JournalControl(record);
-    } else {
-      study->server->ShiftDeadlines(delta);
-    }
-  }
+  if (delta > 0) study->server->ShiftDeadlines(delta, now);
   study->server->SetFrozen(false);
   study->suspended = false;
   study->suspended_at = 0;
   if (durable()) WriteStateFile(*study);
-  IndexDeadline(*study);
   ++stats_.resumed;
   EmitAdminEvent("study_resumed", "studies.resumed", name, now);
   return true;
@@ -319,23 +293,11 @@ Scheduler* StudyManager::FindScheduler(const std::string& name) {
 }
 
 void StudyManager::Tick(double now) {
-  while (!deadlines_.empty() && deadlines_.top().deadline <= now) {
-    const DeadlineEntry entry = deadlines_.top();
-    deadlines_.pop();
-    Study* study = Find(entry.study);
-    if (study == nullptr) continue;  // deleted: stale entry
-    if (!study->indexed_valid || study->indexed_deadline != entry.deadline) {
-      continue;  // superseded by a newer entry: stale
-    }
-    study->indexed_valid = false;
-    // The satellite contract: a suspended study's leases are frozen, so the
-    // idle-expiry timer driving this Tick must skip it entirely. Resume
-    // re-indexes the study.
-    if (study->suspended) continue;
-    const auto earliest = study->server->EarliestDeadline();
-    if (!earliest) continue;
-    if (*earliest <= now) study->service->Tick(now);
-    IndexDeadline(*study);
+  // The transport calls this once per idle tick interval, so one pass over
+  // the studies costs O(studies) per second, not per message. A suspended
+  // study's leases are frozen: the idle-expiry timer must skip it.
+  for (const auto& [name, study] : studies_) {
+    if (!study->suspended) study->service->Tick(now);
   }
 }
 
@@ -366,15 +328,11 @@ Json StudyManager::HandleScoped(const std::string& type, const Json& message,
           static_cast<std::size_t>(requested) > remaining) {
         Json clamped = message;
         clamped.Set("count", Json(static_cast<std::int64_t>(remaining)));
-        Json reply = study->service->HandleMessage(clamped, now);
-        IndexDeadline(*study);
-        return reply;
+        return study->service->HandleMessage(clamped, now);
       }
     }
   }
-  Json reply = study->service->HandleMessage(message, now);
-  IndexDeadline(*study);
-  return reply;
+  return study->service->HandleMessage(message, now);
 }
 
 Json StudyManager::HandleAnyStudy(const std::string& type,
@@ -416,7 +374,6 @@ Json StudyManager::HandleAnyStudy(const std::string& type,
         continue;
       }
       Json reply = study.service->HandleMessage(probe, now);
-      IndexDeadline(study);
       if (reply.at("type").AsString() != "job") continue;
       Json entry = JsonObject{};
       entry.Set("job_id", reply.at("job_id"));

@@ -23,12 +23,13 @@
 // of K gives each one. Each granted entry names the study its report must
 // route back to.
 //
-// One study index: studies live in one name-ordered map with one
-// lease-deadline index (a lazy-deletion min-heap of per-study earliest
-// deadlines, so an idle Tick touches only the studies actually due) and one
-// "*" cursor. Like every MessageService, the manager is single-threaded:
-// its transport (NetServer's poll thread) calls it from one thread at a
-// time, so it takes no locks.
+// One study index: studies live in one name-ordered map with one "*"
+// cursor. Each study's TuningServer owns its lease deadlines; an idle Tick
+// walks the map once and ticks every study that is not suspended — the
+// transport ticks once per idle interval, so that pass is O(studies) per
+// second, not per message. Like every MessageService, the manager is
+// single-threaded: its transport (NetServer's poll thread) calls it from
+// one thread at a time, so it takes no locks.
 //
 // Durability (root non-empty): each study persists under
 // <root>/studies/<name>/ — `study.json` (the factory config; the journal
@@ -41,8 +42,8 @@
 // Suspension semantics: a suspended study grants nothing (no_job), still
 // accepts reports and heartbeats (a paused study must not discard finished
 // work), and is skipped by Tick — its leases are frozen, not expired. On
-// resume, every open deadline shifts by the pause duration (journaled as a
-// "shift" control record so recovery reproduces it).
+// resume, every open deadline shifts by the pause duration (the study's
+// server journals a "shift" record so recovery reproduces it).
 #pragma once
 
 #include <cstdint>
@@ -50,7 +51,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -141,11 +141,10 @@ class StudyManager final : public MessageService {
   /// studies and malformed messages get {"type":"error"} replies.
   Json HandleMessage(const Json& message, double now) override;
 
-  /// Expires overdue leases across all studies. Suspended studies are
-  /// skipped — their leases are frozen (satellite contract: an idle-expiry
-  /// timer upstream must never expire a paused study's leases). Cost is
-  /// O(due studies), not O(studies): a lazy min-heap of per-study earliest
-  /// deadlines touches only the studies whose heap entries are due.
+  /// Expires overdue leases across all studies, in name order. Suspended
+  /// studies are skipped — their leases are frozen (an idle-expiry timer
+  /// upstream must never expire a paused study's leases). O(studies): each
+  /// study's own Tick costs O(1) when nothing is due.
   void Tick(double now) override;
 
   // Typed admin API (the wire verbs call straight into these).
@@ -158,8 +157,9 @@ class StudyManager final : public MessageService {
                    std::optional<std::size_t> max_leases = std::nullopt);
   /// Stops grants and freezes leases. Idempotent; false if unknown.
   bool SuspendStudy(const std::string& name, double now);
-  /// Unfreezes: shifts every open deadline by the pause duration (journaled
-  /// for durable studies). Idempotent; false if unknown.
+  /// Unfreezes: shifts every open deadline by the pause duration (the
+  /// server journals the shift for durable studies). Idempotent; false if
+  /// unknown.
   bool ResumeStudy(const std::string& name, double now);
   /// Tombstones (durable studies) and destroys the study. False if unknown.
   bool DeleteStudy(const std::string& name, double now);
@@ -188,28 +188,9 @@ class StudyManager final : public MessageService {
     TuningServer* server = nullptr;
     bool suspended = false;
     double suspended_at = 0;
-    /// The smallest deadline currently queued for this study in the tick
-    /// index (valid => exactly one live entry at that deadline exists;
-    /// later duplicates are discarded as stale on pop). Keeps the index at
-    /// ~one entry per study instead of one per message.
-    double indexed_deadline = 0;
-    bool indexed_valid = false;
-  };
-
-  /// One (deadline, study) entry in the lazy-deletion tick index.
-  struct DeadlineEntry {
-    double deadline = 0;
-    std::string study;
-    bool operator>(const DeadlineEntry& other) const {
-      if (deadline != other.deadline) return deadline > other.deadline;
-      return study > other.study;
-    }
   };
 
   Study* Find(const std::string& name);
-  /// Pushes the study's current earliest lease deadline into the tick
-  /// index.
-  void IndexDeadline(Study& study);
   std::string StudyDir(const std::string& name) const;
   bool durable() const { return !options_.durability_root.empty(); }
   /// Builds the Study object (scheduler via factory + server stack).
@@ -233,9 +214,6 @@ class StudyManager final : public MessageService {
   StudySchedulerFactory factory_;
   StudyManagerOptions options_;
   std::map<std::string, std::unique_ptr<Study>> studies_;
-  std::priority_queue<DeadlineEntry, std::vector<DeadlineEntry>,
-                      std::greater<DeadlineEntry>>
-      deadlines_;
   /// "*" cursor: the name the next grant probe starts from (names at/after
   /// it, wrapping). Deleted names are fine — probes lower_bound.
   std::string next_study_;

@@ -354,6 +354,34 @@ TEST(DurableServer, ExpiredLeasesAreJournaledAndReplayed) {
   EXPECT_TRUE(durable.server().run_records()[0].lost);
 }
 
+TEST(DurableServer, RecoveryPassesOverAuxiliaryRecords) {
+  const std::string dir = FreshStateDir("auxiliary_replay");
+  {
+    AshaScheduler scheduler(MakeRandomSampler(DurabilitySpace()),
+                            DurabilityAsha());
+    DurableServer durable(scheduler, ServerOptions{.lease_timeout = 1e6},
+                          DurabilityOptions{.dir = dir});
+    ASSERT_EQ(durable.HandleMessage(RequestJob(0), 0).at("type").AsString(),
+              "job");
+    // A hazard fate draw, as the dump scenario journals it: audit-only,
+    // and stamped with no protocol time.
+    Json hazard = JsonObject{};
+    hazard.Set("kind", Json("hazard"));
+    hazard.Set("base_duration", Json(1.0));
+    hazard.Set("duration", Json(1.5));
+    durable.JournalAuxiliary(hazard);
+    ASSERT_EQ(durable.HandleMessage(RequestJob(1), 1).at("type").AsString(),
+              "job");
+  }
+  AshaScheduler scheduler(MakeRandomSampler(DurabilitySpace()),
+                          DurabilityAsha());
+  DurableServer durable(scheduler, ServerOptions{.lease_timeout = 1e6},
+                        DurabilityOptions{.dir = dir});
+  EXPECT_TRUE(durable.recovered());
+  EXPECT_EQ(durable.replayed_events(), 3u);
+  EXPECT_EQ(durable.server().stats().active_leases, 2u);
+}
+
 TEST(DurableServer, RefusesForeignStateDirGracefully) {
   const std::string dir = FreshStateDir("foreign_state");
   std::filesystem::create_directories(dir);

@@ -330,6 +330,25 @@ TEST(Server, RenewalLeavesStaleHeapEntryBehind) {
   EXPECT_EQ(server.stats().deadline_heap_entries, 0u);
 }
 
+TEST(Server, RenewalsDoNotAccumulateInTheDeadlineHeap) {
+  // Every message ticks, and Tick drops stale heap tops whether or not
+  // they are due — so a lease renewed long before its deadline leaves at
+  // most one superseded entry behind, not one per renewal.
+  RandomSearchOptions options;
+  options.R = 10;
+  RandomSearchScheduler scheduler(MakeRandomSampler(UnitSpace()), options);
+  TuningServer server(scheduler, {.lease_timeout = 60});
+  const auto job_id = server.HandleMessage(RequestJob(1), 0).at("job_id")
+                          .AsInt();
+  for (int i = 1; i <= 1000; ++i) {
+    ASSERT_EQ(server.HandleMessage(Heartbeat(1, job_id), 0.01 * i)
+                  .at("type").AsString(),
+              "ack");
+    ASSERT_LE(server.stats().deadline_heap_entries, 2u) << "renewal " << i;
+  }
+  EXPECT_EQ(server.stats().active_leases, 1u);
+}
+
 TEST(Server, ReportAfterRenewalConsumesLeaseCleanly) {
   RandomSearchOptions options;
   options.R = 10;

@@ -9,6 +9,8 @@
 #include <map>
 #include <memory>
 #include <regex>
+#include <string>
+#include <vector>
 
 #include "common/check.h"
 #include "common/crc32.h"
@@ -539,7 +541,12 @@ Json EditInFlight(Json snapshot, const std::function<void(Job&)>& edit) {
   return snapshot;
 }
 
+/// Every snapshot family the registry builds with an in-flight table.
+const std::vector<std::string> kAllFamilies = {
+    "asha", "sha", "hyperband", "async_hyperband", "random"};
+
 void ExpectKeepInFlightRestoreRefuses(
+    const std::vector<std::string>& names,
     const std::function<Json(const Json&)>& edit) {
   const SearchSpace space = UnitSpace();
   const TunerEnv env{.space = &space, .R = 27};
@@ -548,8 +555,7 @@ void ExpectKeepInFlightRestoreRefuses(
   params.r_divisor = 27;
   params.n = 27;
   params.seed = 5;
-  for (const char* name :
-       {"asha", "sha", "hyperband", "async_hyperband", "random"}) {
+  for (const std::string& name : names) {
     auto original = MakeTuner(name, env, params);
     RunGoldenScript(*original, 120);
     const Json snapshot = original->Snapshot();
@@ -569,13 +575,13 @@ void ExpectKeepInFlightRestoreRefuses(
 }
 
 TEST(SnapshotFamily, RestoreRefusesInFlightTrialMissingFromBank) {
-  ExpectKeepInFlightRestoreRefuses([](const Json& snapshot) {
+  ExpectKeepInFlightRestoreRefuses(kAllFamilies, [](const Json& snapshot) {
     return EditInFlight(snapshot, [](Job& job) { job.trial_id += 100000; });
   });
 }
 
 TEST(SnapshotFamily, RestoreRefusesInFlightTrialThatIsNotRunning) {
-  ExpectKeepInFlightRestoreRefuses([](const Json& snapshot) {
+  ExpectKeepInFlightRestoreRefuses(kAllFamilies, [](const Json& snapshot) {
     TrialBank bank = TrialBankFromJson(snapshot.at("trials"));
     for (std::size_t id = 0; id < bank.size(); ++id) {
       Trial& trial = bank.Get(static_cast<TrialId>(id));
@@ -590,10 +596,37 @@ TEST(SnapshotFamily, RestoreRefusesInFlightTrialThatIsNotRunning) {
 }
 
 TEST(SnapshotFamily, RestoreRefusesInFlightConfigThatDiffersFromBank) {
-  ExpectKeepInFlightRestoreRefuses([](const Json& snapshot) {
+  ExpectKeepInFlightRestoreRefuses(kAllFamilies, [](const Json& snapshot) {
     return EditInFlight(snapshot, [](Job& job) {
       job.config.Set("x", job.config.GetDouble("x") / 2);
     });
+  });
+}
+
+// The single-bracket families and random search parse every field before
+// they commit any: a refusal late in the snapshot leaves no half-restored
+// scheduler behind. (The composites commit their shared bank before their
+// brackets.)
+
+TEST(SnapshotFamily, RestoreRefusesTruncatedRngBeforeAnyChange) {
+  ExpectKeepInFlightRestoreRefuses(
+      {"asha", "sha", "random"}, [](const Json& snapshot) {
+        JsonArray words = snapshot.at("rng").AsArray();
+        words.pop_back();
+        Json edited = snapshot;
+        edited.Set("rng", Json(std::move(words)));
+        return edited;
+      });
+}
+
+TEST(SnapshotFamily, RestoreRefusesOneRungTooManyBeforeAnyChange) {
+  // R = 27 with r = 1 and eta = 3 allows rungs 0..3.
+  ExpectKeepInFlightRestoreRefuses({"asha"}, [](const Json& snapshot) {
+    JsonArray rungs = snapshot.at("rungs").AsArray();
+    while (rungs.size() < 5) rungs.push_back(rungs.front());
+    Json edited = snapshot;
+    edited.Set("rungs", Json(std::move(rungs)));
+    return edited;
   });
 }
 

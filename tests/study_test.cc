@@ -16,6 +16,7 @@
 #include "common/check.h"
 #include "core/random_search.h"
 #include "core/sampler.h"
+#include "durability/wal.h"
 #include "registry/registry.h"
 #include "searchspace/space.h"
 #include "service/server.h"
@@ -506,6 +507,84 @@ TEST(StudyDurability, RecoversEveryStudyAcrossRestart) {
   ASSERT_TRUE(recovered.ResumeStudy("beta", 6.0));
   EXPECT_EQ(ReplyType(recovered.HandleMessage(RequestJob(9, "beta"), 6.0)),
             "job");
+}
+
+// The journal's byte format: every lease event a durable study serves —
+// grant, renewal, report, expiry, and the deadline shift of a resume —
+// leaves exactly this record, keys in this order.
+TEST(StudyDurability, JournalsEveryLeaseEventInItsRecordFormat) {
+  const std::string root = FreshDir("journal_payloads");
+  StudyManagerOptions options = BaseOptions();
+  options.durability_root = root;
+  options.default_config = Json();
+  {
+    StudyManager manager(MakeStudySchedulerFactory(StudySpace()), options);
+    ASSERT_TRUE(manager.CreateStudy("journaled", RandomConfig(7), 0.0));
+    const Json first = manager.HandleMessage(RequestJob(1, "journaled"), 1.0);
+    const Json second =
+        manager.HandleMessage(RequestJob(2, "journaled"), 2.0);
+    ASSERT_EQ(ReplyType(first), "job");
+    ASSERT_EQ(ReplyType(second), "job");
+    ASSERT_EQ(ReplyType(manager.HandleMessage(
+                  Heartbeat(1, first.at("job_id").AsInt(), "journaled"),
+                  3.5)),
+              "ack");
+    ASSERT_EQ(ReplyType(manager.HandleMessage(
+                  Report(1, first.at("job_id").AsInt(), 0.25, "journaled"),
+                  4.0)),
+              "ack");
+    manager.Tick(40.0);  // the second lease (deadline 32) expires
+    ASSERT_EQ(ReplyType(manager.HandleMessage(RequestJob(3, "journaled"),
+                                              41.0)),
+              "job");
+    ASSERT_TRUE(manager.SuspendStudy("journaled", 50.0));
+    ASSERT_TRUE(manager.ResumeStudy("journaled", 60.5));
+  }
+  const std::string wal =
+      (std::filesystem::path(root) / "studies" / "journaled" /
+       "wal-000000.log")
+          .string();
+  const std::vector<std::string> expected = {
+      R"({"kind":"grant","job_id":1,"worker":1,"trial":0,"now":1.0})",
+      R"({"kind":"grant","job_id":2,"worker":2,"trial":1,"now":2.0})",
+      R"({"kind":"renew","job_id":1,"now":3.5})",
+      R"({"kind":"report","job_id":1,"loss":0.25,"now":4.0})",
+      R"({"kind":"expire","job_id":2,"now":40.0})",
+      R"({"kind":"grant","job_id":3,"worker":3,"trial":2,"now":41.0})",
+      R"({"kind":"shift","delta":10.5,"now":60.5})",
+  };
+  EXPECT_EQ(ReadJournal(wal).payloads, expected);
+}
+
+// A resume's deadline shift is journaled, so recovery reproduces it: a
+// lease that was open across the suspension is still live, at its shifted
+// deadline, after a crash.
+TEST(StudyDurability, ResumeShiftSurvivesACrashWithALeaseOpen) {
+  const std::string root = FreshDir("resume_shift");
+  StudyManagerOptions options = BaseOptions();  // lease_timeout 30
+  options.durability_root = root;
+  options.default_config = Json();
+  std::int64_t job_id = 0;
+  {
+    StudyManager manager(MakeStudySchedulerFactory(StudySpace()), options);
+    ASSERT_TRUE(manager.CreateStudy("held", RandomConfig(8), 0.0));
+    const Json grant = manager.HandleMessage(RequestJob(1, "held"), 0.0);
+    ASSERT_EQ(ReplyType(grant), "job");
+    job_id = grant.at("job_id").AsInt();
+    ASSERT_TRUE(manager.SuspendStudy("held", 10.0));
+    // Deadline 30 shifts by the 1000 s pause to 1030.
+    ASSERT_TRUE(manager.ResumeStudy("held", 1010.0));
+  }
+  StudyManager recovered(MakeStudySchedulerFactory(StudySpace()), options);
+  TuningServer* server = recovered.FindServer("held");
+  ASSERT_NE(server, nullptr);
+  EXPECT_EQ(server->stats().active_leases, 1u);
+  recovered.Tick(1029.0);
+  EXPECT_EQ(server->stats().leases_expired, 0u);
+  EXPECT_EQ(server->stats().active_leases, 1u);
+  EXPECT_EQ(ReplyType(recovered.HandleMessage(Heartbeat(1, job_id, "held"),
+                                              1029.0)),
+            "ack");
 }
 
 TEST(StudyDurability, TombstoneCompletesInterruptedDelete) {
