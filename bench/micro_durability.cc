@@ -4,10 +4,10 @@
 // The WAL sits on the request-serving hot path — one framed append per
 // grant/report/renew/expire — so its per-record cost bounds server
 // throughput under durability. These benches price the append across sync
-// policies (the knob deployments actually turn), journal read-back
-// (recovery), full snapshot round-trips, and the end-to-end overhead of
-// DurableServer::HandleMessage over the plain server. Curated numbers live
-// in BENCH_durability.json.
+// policies (the knob deployments actually turn), journal read-back and
+// replay (recovery), full snapshot round-trips, and the end-to-end overhead
+// of DurableServer::HandleMessage over the plain server. Curated numbers
+// live in BENCH_durability.json.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
@@ -125,6 +125,40 @@ void BM_JournalRead(benchmark::State& state) {
   std::filesystem::remove(path);
 }
 BENCHMARK(BM_JournalRead)->Arg(256)->Arg(4096);
+
+// Recovery of a DurableServer whose state is an N-record journal and no
+// snapshot — the shape serve-durable's studies restart from. Each iteration
+// reads the journal, decodes every record and replays it through the
+// restored scheduler; records_per_s is the replay rate.
+void BM_JournalReplay(benchmark::State& state) {
+  const auto records = static_cast<std::size_t>(state.range(0));
+  const auto dir = ScratchDir() / "replay";
+  std::filesystem::remove_all(dir);
+  ServerOptions options;
+  options.lease_timeout = 1e9;
+  DurabilityOptions durability;
+  durability.dir = dir.string();
+  durability.sync = SyncPolicy::kNone;
+  durability.snapshot_every = static_cast<std::size_t>(1) << 40;
+  {
+    AshaScheduler asha = MakeAsha(1u << 30);
+    DurableServer server(asha, options, durability);
+    // A non-dyadic start gives every timestamp its full 17 digits, as a
+    // wall clock does.
+    double now = 1000.0 / 3.0;
+    DriveCycles(server, records / 2, now);  // a grant and a report each
+  }
+  for (auto _ : state) {
+    AshaScheduler asha = MakeAsha(1u << 30);
+    DurableServer recovered(asha, options, durability);
+    benchmark::DoNotOptimize(recovered.replayed_events());
+  }
+  state.counters["records_per_s"] =
+      benchmark::Counter(static_cast<double>(records),
+                         benchmark::Counter::kIsIterationInvariantRate);
+  std::filesystem::remove_all(dir);
+}
+BENCHMARK(BM_JournalReplay)->Arg(256)->Arg(4096);
 
 // Full server snapshot serialize + parse + restore with T resolved trials:
 // the compaction cost paid once every snapshot_every journal records.

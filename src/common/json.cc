@@ -1,7 +1,9 @@
 #include "common/json.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <sstream>
 
 #include "common/check.h"
@@ -123,17 +125,25 @@ void EscapeInto(std::ostringstream& os, const std::string& s) {
   os << '"';
 }
 
-void DumpNumber(std::ostringstream& os, double d) {
-  if (std::isnan(d) || std::isinf(d)) {
-    os << "null";  // JSON has no NaN/Inf; export as null
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  os << buf;
-}
-
 }  // namespace
+
+char* WriteJsonDouble(char* out, double value) {
+  char* const last = out + kJsonDoubleMaxChars;
+  if (!std::isfinite(value)) {
+    // JSON has no NaN/Inf; export as null.
+    std::memcpy(out, "null", 4);
+    return out + 4;
+  }
+  // Doubles keep a fractional/exponent marker so the int/double
+  // distinction survives a round-trip.
+  if (std::floor(value) == value && std::abs(value) < 1e15) {
+    out = std::to_chars(out, last, static_cast<std::int64_t>(value)).ptr;
+    std::memcpy(out, ".0", 2);
+    return out + 2;
+  }
+  // Formats exactly as printf's "%.17g".
+  return std::to_chars(out, last, value, std::chars_format::general, 17).ptr;
+}
 
 namespace {
 
@@ -195,16 +205,8 @@ void DumpValue(const Json& value, std::ostringstream& os,
   } else if (value.IsInt()) {
     os << value.AsInt();
   } else if (value.IsNumber()) {
-    // Doubles keep a fractional/exponent marker so the int/double
-    // distinction survives a round-trip.
-    const double d = value.AsDouble();
-    if (std::isfinite(d) && std::floor(d) == d && std::abs(d) < 1e15) {
-      std::ostringstream tmp;
-      tmp << static_cast<std::int64_t>(d) << ".0";
-      os << tmp.str();
-    } else {
-      DumpNumber(os, d);
-    }
+    char buf[kJsonDoubleMaxChars];
+    os.write(buf, WriteJsonDouble(buf, value.AsDouble()) - buf);
   } else if (value.IsString()) {
     EscapeInto(os, value.AsString());
   } else if (value.IsArray()) {

@@ -16,6 +16,17 @@ namespace hypertune {
 
 class Json;
 
+/// Room WriteJsonDouble needs: sign, 17 digits, point, exponent.
+inline constexpr std::size_t kJsonDoubleMaxChars = 32;
+
+/// The one rule by which a double is written as JSON, shared by Json::Dump
+/// and the lease journal's typed record encoder (src/service/server.cc): an
+/// integral value with |d| < 1e15 prints as that integer plus ".0" (so it
+/// reads back as a double; -0.0 prints "0.0"), any other finite value as
+/// printf's "%.17g", a NaN or infinity as null. Writes at most
+/// kJsonDoubleMaxChars chars at `out` and returns one past the last.
+char* WriteJsonDouble(char* out, double value);
+
 using JsonArray = std::vector<Json>;
 /// Insertion-ordered key/value list (keys assumed unique by construction).
 using JsonObject = std::vector<std::pair<std::string, Json>>;

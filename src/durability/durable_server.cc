@@ -6,8 +6,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -17,13 +16,6 @@
 namespace hypertune {
 
 namespace {
-
-std::string ReadWholeFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  HT_CHECK_MSG(in.good(), "cannot read '" << path << "'");
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
 
 std::string GenerationName(const char* prefix, std::uint64_t generation,
                            const char* suffix) {
@@ -141,7 +133,8 @@ bool DurableServer::Recover() {
   generation_ = *latest;
   const std::string snapshot_path = SnapshotPath(generation_);
   if (std::filesystem::exists(snapshot_path)) {
-    server_.Restore(Json::Parse(ReadWholeFile(snapshot_path)));
+    const std::vector<char> snapshot = ReadFileBytes(snapshot_path);
+    server_.Restore(Json::Parse({snapshot.data(), snapshot.size()}));
   } else {
     HT_CHECK_MSG(generation_ == 0,
                  "generation " << generation_
@@ -158,10 +151,10 @@ bool DurableServer::Recover() {
     return true;
   }
 
-  JournalReadResult journal = ReadJournal(journal_path);
+  const JournalReadResult journal = ReadJournal(journal_path);
   journal_tail_truncated_ = journal.truncated_tail;
-  for (const std::string& payload : journal.payloads) {
-    server_.ReplayJournalEvent(Json::Parse(payload));
+  for (const std::string_view payload : journal.payloads) {
+    server_.ReplayJournalEvent(payload);
     ++replayed_events_;
   }
   // Reopen for appending; a torn tail is truncated here, so the events the
@@ -233,11 +226,10 @@ void DurableServer::TryResumeJournal() {
   Count("durability.degraded_exited");
 }
 
-void DurableServer::JournalRecord(Json record) {
+void DurableServer::JournalRecord(std::string_view payload) {
   if (!writer_) return;  // only during recovery, which never journals
-  std::string payload = record.Dump();
   if (degraded_) {
-    buffered_.push_back(std::move(payload));
+    buffered_.emplace_back(payload);
     ++stats_.records_buffered;
     Count("durability.records_buffered");
     return;
@@ -252,7 +244,7 @@ void DurableServer::JournalRecord(Json record) {
       ++stats_.journal_write_failures;
       Count("durability.journal_write_failures");
       EnterDegraded();
-      buffered_.push_back(std::move(payload));
+      buffered_.emplace_back(payload);
       ++stats_.records_buffered;
       Count("durability.records_buffered");
       return;
@@ -268,9 +260,13 @@ void DurableServer::JournalRecord(Json record) {
 }
 
 void DurableServer::JournalAuxiliary(const Json& event) {
-  HT_CHECK_MSG(event.Has("kind") && event.at("kind").AsString() == "hazard",
-               "auxiliary journal records must carry kind \"hazard\"");
-  JournalRecord(event);
+  // Replay recognizes these by their leading {"kind":"hazard" bytes, so
+  // "kind" must be the first key.
+  HT_CHECK_MSG(event.IsObject() && !event.AsObject().empty() &&
+                   event.AsObject().front().first == "kind" &&
+                   event.AsObject().front().second == Json("hazard"),
+               "auxiliary journal records must lead with kind \"hazard\"");
+  JournalRecord(event.Dump());
 }
 
 void DurableServer::MaybeSnapshot() {

@@ -33,6 +33,7 @@
 #include <deque>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/json.h"
 #include "durability/wal.h"
@@ -117,9 +118,11 @@ class DurableServer final : public MessageService, public JournalSink {
   void Tick(double now) override;
 
   /// Journals an auxiliary (audit-only) record — e.g. the simulator's
-  /// hazard fate draws. Replay ignores these; they exist so a post-mortem
-  /// can reconstruct *why* a run unfolded as it did, not just *what* the
-  /// scheduler decided.
+  /// hazard fate draws. Replay skips these by their leading
+  /// {"kind":"hazard" bytes, so `event` must be an object whose first key
+  /// is "kind" with the value "hazard" (CheckError otherwise). They exist
+  /// so a post-mortem can reconstruct *why* a run unfolded as it did, not
+  /// just *what* the scheduler decided.
   void JournalAuxiliary(const Json& event);
 
   /// Forces a compacting snapshot now (also fsyncs the journal first).
@@ -144,8 +147,8 @@ class DurableServer final : public MessageService, public JournalSink {
   DurabilityStats durability_stats() const { return stats_; }
 
   /// JournalSink — the wrapped server hands over one record per lease
-  /// event. Appends it to the journal, or buffers it while degraded.
-  void JournalRecord(Json record) override;
+  /// event. Appends it to the journal, or buffers a copy while degraded.
+  void JournalRecord(std::string_view payload) override;
 
  private:
   std::string SnapshotPath(std::uint64_t generation) const;

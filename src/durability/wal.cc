@@ -1,11 +1,11 @@
 #include "durability/wal.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
-#include <fstream>
 #include <utility>
 
 #include "common/check.h"
@@ -111,7 +111,8 @@ JournalWriter::JournalWriter(JournalWriter&& other) noexcept
       frames_since_sync_(other.frames_since_sync_),
       good_bytes_(other.good_bytes_),
       tail_dirty_(other.tail_dirty_),
-      last_errno_(other.last_errno_) {}
+      last_errno_(other.last_errno_),
+      frame_(std::move(other.frame_)) {}
 
 JournalWriter& JournalWriter::operator=(JournalWriter&& other) noexcept {
   if (this != &other) {
@@ -124,6 +125,7 @@ JournalWriter& JournalWriter::operator=(JournalWriter&& other) noexcept {
     good_bytes_ = other.good_bytes_;
     tail_dirty_ = other.tail_dirty_;
     last_errno_ = other.last_errno_;
+    frame_ = std::move(other.frame_);
   }
   return *this;
 }
@@ -161,22 +163,21 @@ bool JournalWriter::RepairTail() {
 AppendResult JournalWriter::TryAppend(std::string_view payload) {
   HT_CHECK(fd_ >= 0);
   if (!RepairTail()) return AppendResult::kWriteFailed;
-  unsigned char header[kFrameHeader];
-  PutU32(header, static_cast<std::uint32_t>(payload.size()));
-  PutU32(header + 4, Crc32(payload));
   // One write per frame (header + payload) so a crash tears at most the
   // frame being appended, never an earlier one.
-  std::string frame;
-  frame.reserve(kFrameHeader + payload.size());
-  frame.append(reinterpret_cast<const char*>(header), kFrameHeader);
-  frame.append(payload.data(), payload.size());
-  const std::size_t written = WriteSome(*ops_, fd_, frame.data(), frame.size());
-  if (written != frame.size()) {
+  frame_.resize(kFrameHeader + payload.size());
+  auto* header = reinterpret_cast<unsigned char*>(frame_.data());
+  PutU32(header, static_cast<std::uint32_t>(payload.size()));
+  PutU32(header + 4, Crc32(payload));
+  std::memcpy(frame_.data() + kFrameHeader, payload.data(), payload.size());
+  const std::size_t written =
+      WriteSome(*ops_, fd_, frame_.data(), frame_.size());
+  if (written != frame_.size()) {
     last_errno_ = errno;
     tail_dirty_ = written > 0;
     return AppendResult::kWriteFailed;
   }
-  good_bytes_ += frame.size();
+  good_bytes_ += frame_.size();
   ++frames_written_;
   switch (options_.sync) {
     case SyncPolicy::kNone:
@@ -200,16 +201,38 @@ bool JournalWriter::TrySync() {
   return true;
 }
 
+std::vector<char> ReadFileBytes(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  HT_CHECK_MSG(fd >= 0, "cannot read '" << path
+                                        << "': " << std::strerror(errno));
+  struct stat info {};
+  std::vector<char> bytes;
+  bool ok = ::fstat(fd, &info) == 0;
+  if (ok) {
+    bytes.resize(static_cast<std::size_t>(info.st_size));
+    std::size_t offset = 0;
+    while (ok && offset < bytes.size()) {
+      const ssize_t n =
+          ::read(fd, bytes.data() + offset, bytes.size() - offset);
+      if (n < 0 && errno == EINTR) continue;
+      ok = n > 0;  // 0: the file shrank under us
+      if (ok) offset += static_cast<std::size_t>(n);
+    }
+  }
+  const int saved = errno;
+  ::close(fd);
+  HT_CHECK_MSG(ok, "cannot read '" << path << "': " << std::strerror(saved));
+  return bytes;
+}
+
 JournalReadResult ReadJournal(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  HT_CHECK_MSG(in.good(), "cannot read journal '" << path << "'");
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
+  JournalReadResult result;
+  std::vector<char>& bytes = result.payloads.bytes_;
+  bytes = ReadFileBytes(path);
   HT_CHECK_MSG(bytes.size() >= sizeof(kMagic) &&
                    std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) == 0,
                "'" << path << "' is not a write-ahead journal");
 
-  JournalReadResult result;
   std::size_t offset = sizeof(kMagic);
   result.valid_bytes = offset;
   while (offset < bytes.size()) {
@@ -222,7 +245,7 @@ JournalReadResult ReadJournal(const std::string& path) {
     const std::string_view payload(bytes.data() + offset + kFrameHeader,
                                    length);
     if (Crc32(payload) != crc) break;  // bit rot or torn overwrite
-    result.payloads.emplace_back(payload);
+    result.payloads.views_.push_back(payload);
     offset += kFrameHeader + length;
     result.valid_bytes = offset;
   }

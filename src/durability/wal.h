@@ -19,6 +19,7 @@
 // bench/micro_durability.cc for what each costs.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -28,6 +29,8 @@
 #include "fault/fault_fs.h"
 
 namespace hypertune {
+
+struct JournalReadResult;
 
 /// When the journal writer fsyncs.
 enum class SyncPolicy {
@@ -123,12 +126,49 @@ class JournalWriter {
   /// True after a partial frame write; repaired before the next append.
   bool tail_dirty_ = false;
   int last_errno_ = 0;
+  /// The frame being appended (header + payload), reused across appends.
+  std::string frame_;
+};
+
+/// The payloads of one journal read, in append order: views into a single
+/// buffer holding the whole file, so no record is copied. Move-only — a
+/// moved vector keeps its heap buffer, so the views stay valid.
+class JournalPayloads {
+ public:
+  using const_iterator = std::vector<std::string_view>::const_iterator;
+  using iterator = const_iterator;
+  using value_type = std::string_view;
+
+  JournalPayloads() = default;
+  JournalPayloads(JournalPayloads&&) noexcept = default;
+  JournalPayloads& operator=(JournalPayloads&&) noexcept = default;
+  JournalPayloads(const JournalPayloads&) = delete;
+  JournalPayloads& operator=(const JournalPayloads&) = delete;
+
+  const_iterator begin() const { return views_.begin(); }
+  const_iterator end() const { return views_.end(); }
+  std::size_t size() const { return views_.size(); }
+  bool empty() const { return views_.empty(); }
+  std::string_view operator[](std::size_t i) const { return views_[i]; }
+
+  /// Payload-by-payload byte equality.
+  friend bool operator==(const JournalPayloads& payloads,
+                         const std::vector<std::string>& expected) {
+    return std::equal(payloads.begin(), payloads.end(), expected.begin(),
+                      expected.end());
+  }
+
+ private:
+  friend JournalReadResult ReadJournal(const std::string& path);
+
+  std::vector<char> bytes_;
+  std::vector<std::string_view> views_;
 };
 
 /// What ReadJournal recovered from a journal file.
 struct JournalReadResult {
   /// Every fully valid frame payload, in append order.
-  std::vector<std::string> payloads;
+  JournalPayloads payloads;
   /// Byte offset just past the last valid frame (>= header size). The file
   /// is safe to truncate here and append onward.
   std::uint64_t valid_bytes = 0;
@@ -137,9 +177,15 @@ struct JournalReadResult {
   bool truncated_tail = false;
 };
 
-/// Reads a journal, stopping at the first torn or corrupt frame. Throws
-/// CheckError when the file is missing or its header is not a journal's.
+/// Reads a journal (one ReadFileBytes), stopping at the first torn or
+/// corrupt frame. Throws CheckError when the file is missing or its header
+/// is not a journal's.
 JournalReadResult ReadJournal(const std::string& path);
+
+/// Reads a whole file with one read sized by fstat. Throws CheckError when
+/// it cannot be opened or read. Every durable file — journal, snapshot,
+/// study manifest and state — is read through this.
+std::vector<char> ReadFileBytes(const std::string& path);
 
 /// The 8-byte journal file magic ("HTWAL001").
 std::string_view JournalMagic();

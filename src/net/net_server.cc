@@ -10,6 +10,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <map>
 #include <vector>
@@ -237,6 +238,14 @@ struct NetServer::Loop {
 
   void HandleDecoded(Connection& conn, const Json& message,
                      double envelope_now) {
+    if (server.options_.clock == NetClock::kMessage &&
+        !std::isfinite(envelope_now)) {
+      // Refused before it can become the protocol clock: a NaN would be
+      // journaled, and an infinity would expire every lease at the next
+      // idle tick.
+      RejectMessage(conn, kNonFiniteTimeError, TickNow());
+      return;
+    }
     const double now = ProtocolNow(envelope_now);
     if (overloaded && IsGrantRequest(message)) {
       // Behind schedule: granting more work only digs the hole deeper.

@@ -1,7 +1,12 @@
 #include "service/server.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <iterator>
+#include <span>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "common/check.h"
@@ -72,19 +77,204 @@ Json LeaseArgs(std::uint64_t job_id, std::uint64_t worker, TrialId trial,
   return args;
 }
 
-/// A journal record's common head: {"kind":kind,"job_id":job_id}. Each
-/// mutation appends its own fields and "now" last; the key order is the
-/// journal's byte format.
-Json LeaseRecord(const char* kind, std::uint64_t job_id) {
-  Json record = JsonObject{};
-  record.Set("kind", Json(kind));
-  record.Set("job_id", Json(static_cast<std::int64_t>(job_id)));
-  return record;
+}  // namespace
+
+namespace {
+
+// --- The journal record schema: the one place a record layout is written ---
+//
+// A payload is {"kind":<name>} with the kind's fields spliced in after
+// "kind", in table order. AppendLeaseRecord and ParseLeaseRecord both walk
+// this table, so they are inverses by construction.
+
+/// Where a field's value lives in a LeaseRecord; the member's type picks
+/// its spelling: ids as signed 64-bit decimals (the Json the journal was
+/// first written with stored them so), doubles by WriteJsonDouble.
+using RecordMember =
+    std::variant<std::uint64_t LeaseRecord::*, TrialId LeaseRecord::*,
+                 double LeaseRecord::*>;
+
+struct RecordField {
+  std::string_view key;
+  RecordMember member;
+};
+
+struct RecordLayout {
+  LeaseEventKind kind;
+  std::string_view name;
+  std::span<const RecordField> fields;
+};
+
+constexpr RecordField kGrantFields[] = {{"job_id", &LeaseRecord::job_id},
+                                        {"worker", &LeaseRecord::worker},
+                                        {"trial", &LeaseRecord::trial},
+                                        {"now", &LeaseRecord::now}};
+constexpr RecordField kReportFields[] = {{"job_id", &LeaseRecord::job_id},
+                                         {"loss", &LeaseRecord::loss},
+                                         {"now", &LeaseRecord::now}};
+constexpr RecordField kLeaseFields[] = {{"job_id", &LeaseRecord::job_id},
+                                        {"now", &LeaseRecord::now}};
+constexpr RecordField kShiftFields[] = {{"delta", &LeaseRecord::delta},
+                                        {"now", &LeaseRecord::now}};
+
+// Every LeaseEventKind, in numbering order.
+constexpr RecordLayout kRecordLayouts[] = {
+    {LeaseEventKind::kGrant, "grant", kGrantFields},
+    {LeaseEventKind::kReport, "report", kReportFields},
+    {LeaseEventKind::kRenew, "renew", kLeaseFields},
+    {LeaseEventKind::kExpire, "expire", kLeaseFields},
+    {LeaseEventKind::kShift, "shift", kShiftFields},
+};
+static_assert([] {
+  for (std::size_t i = 0; i < std::size(kRecordLayouts); ++i) {
+    if (static_cast<std::size_t>(kRecordLayouts[i].kind) != i) return false;
+  }
+  return true;
+}());
+
+constexpr std::string_view kKindHead = R"({"kind":")";
+/// The audit-only record DurableServer::JournalAuxiliary writes.
+constexpr std::string_view kHazardHead = R"({"kind":"hazard")";
+
+void AppendNumber(std::string& out, std::int64_t value) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
 }
+
+void AppendNumber(std::string& out, std::uint64_t value) {
+  AppendNumber(out, static_cast<std::int64_t>(value));
+}
+
+void AppendNumber(std::string& out, double value) {
+  HT_CHECK_MSG(std::isfinite(value),
+               "journal record: non-finite value " << value);
+  char buf[kJsonDoubleMaxChars];
+  out.append(buf, WriteJsonDouble(buf, value));
+}
+
+/// A canonical-only reader over one payload.
+class RecordReader {
+ public:
+  explicit RecordReader(std::string_view payload) : text_(payload) {}
+
+  void Expect(std::string_view literal) {
+    if (text_.substr(pos_, literal.size()) != literal) {
+      Fail("expected '" + std::string(literal) + "'");
+    }
+    pos_ += literal.size();
+  }
+
+  void ExpectEnd() const {
+    if (pos_ != text_.size()) Fail("trailing bytes");
+  }
+
+  /// The kind name up to its closing quote, which is consumed.
+  std::string_view Name() {
+    const std::size_t close = text_.find('"', pos_);
+    if (close == std::string_view::npos) Fail("unterminated kind");
+    const std::string_view name = text_.substr(pos_, close - pos_);
+    pos_ = close + 1;
+    return name;
+  }
+
+  void Read(std::int64_t& value) {
+    const char* first = text_.data() + pos_;
+    const char* last = text_.data() + text_.size();
+    const auto [end, error] = std::from_chars(first, last, value);
+    if (error != std::errc{}) Fail("expected an integer");
+    // Canonical decimal: no leading zeros, no "-0".
+    const char* digits = first + (*first == '-' ? 1 : 0);
+    if (*digits == '0' && (end - digits > 1 || digits != first)) {
+      Fail("non-canonical integer");
+    }
+    pos_ += static_cast<std::size_t>(end - first);
+  }
+
+  void Read(std::uint64_t& value) {
+    std::int64_t raw = 0;
+    Read(raw);
+    value = static_cast<std::uint64_t>(raw);
+  }
+
+  void Read(double& value) {
+    const char* first = text_.data() + pos_;
+    const char* last = text_.data() + text_.size();
+    const auto [end, error] =
+        std::from_chars(first, last, value, std::chars_format::general);
+    if (error != std::errc{} || !std::isfinite(value)) {
+      Fail("expected a finite number");
+    }
+    // Canonical: exactly the spelling the encoder writes for this value.
+    char buf[kJsonDoubleMaxChars];
+    const std::string_view token(first, static_cast<std::size_t>(end - first));
+    if (token != std::string_view(buf, WriteJsonDouble(buf, value) - buf)) {
+      Fail("non-canonical number");
+    }
+    pos_ += token.size();
+  }
+
+ private:
+  [[noreturn]] void Fail(const std::string& what) const {
+    throw CheckError("journal record: " + what + " at offset " +
+                     std::to_string(pos_) + " of '" + std::string(text_) +
+                     "'");
+  }
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+};
 
 }  // namespace
 
+void AppendLeaseRecord(const LeaseRecord& record, std::string& out) {
+  const RecordLayout& layout =
+      kRecordLayouts[static_cast<std::size_t>(record.kind)];
+  out.append(kKindHead);
+  out.append(layout.name);
+  out.push_back('"');
+  for (const RecordField& field : layout.fields) {
+    out.append(",\"");
+    out.append(field.key);
+    out.append("\":");
+    std::visit([&](auto member) { AppendNumber(out, record.*member); },
+               field.member);
+  }
+  out.push_back('}');
+}
+
+std::optional<LeaseRecord> ParseLeaseRecord(std::string_view payload) {
+  if (payload.starts_with(kHazardHead) &&
+      payload.size() > kHazardHead.size() &&
+      (payload[kHazardHead.size()] == ',' ||
+       payload[kHazardHead.size()] == '}')) {
+    return std::nullopt;
+  }
+  RecordReader reader(payload);
+  reader.Expect(kKindHead);
+  const std::string_view name = reader.Name();
+  const auto layout =
+      std::find_if(std::begin(kRecordLayouts), std::end(kRecordLayouts),
+                   [&](const RecordLayout& l) { return l.name == name; });
+  if (layout == std::end(kRecordLayouts)) {
+    throw CheckError("journal replay: unknown event kind '" +
+                     std::string(name) + "'");
+  }
+  LeaseRecord record;
+  record.kind = layout->kind;
+  for (const RecordField& field : layout->fields) {
+    reader.Expect(",\"");
+    reader.Expect(field.key);
+    reader.Expect("\":");
+    std::visit([&](auto member) { reader.Read(record.*member); },
+               field.member);
+  }
+  reader.Expect("}");
+  reader.ExpectEnd();
+  return record;
+}
+
 void TuningServer::Tick(double now) {
+  HT_CHECK_MSG(std::isfinite(now), kNonFiniteTimeError);
   if (frozen_) return;  // suspended study: leases are frozen, not expiring
   // Pop heap tops until the front is a live entry that is not yet due. An
   // entry is live while it carries its lease's authoritative deadline;
@@ -123,13 +313,14 @@ void TuningServer::ShiftDeadlines(double delta, double now) {
   }
   deadlines_ = decltype(deadlines_)(std::greater<DeadlineEntry>{},
                                     std::move(entries));
-  if (JournalSink* journal = live_journal()) {
-    Json record = JsonObject{};
-    record.Set("kind", Json("shift"));
-    record.Set("delta", Json(delta));
-    record.Set("now", Json(now));
-    journal->JournalRecord(std::move(record));
-  }
+  Journal({.kind = LeaseEventKind::kShift, .delta = delta, .now = now});
+}
+
+void TuningServer::Journal(const LeaseRecord& record) {
+  if (replaying_ || options_.journal == nullptr) return;
+  record_bytes_.clear();
+  AppendLeaseRecord(record, record_bytes_);
+  options_.journal->JournalRecord(record_bytes_);
 }
 
 const TuningServer::Lease* TuningServer::OpenLease(std::uint64_t worker,
@@ -154,15 +345,13 @@ const TuningServer::Lease* TuningServer::OpenLease(std::uint64_t worker,
     telemetry->EventAt(now, "lease_granted", "lease", std::move(args));
     telemetry->Count("server.jobs_assigned");
   }
-  if (JournalSink* journal = live_journal()) {
-    Json record = LeaseRecord("grant", job_id);
-    record.Set("worker", Json(static_cast<std::int64_t>(worker)));
-    // The job itself is re-derived from the restored scheduler on replay;
-    // the trial id rides along so divergence fails loudly.
-    record.Set("trial", Json(job.trial_id));
-    record.Set("now", Json(now));
-    journal->JournalRecord(std::move(record));
-  }
+  // The job itself is re-derived from the restored scheduler on replay;
+  // the trial id rides along so divergence fails loudly.
+  Journal({.kind = LeaseEventKind::kGrant,
+           .job_id = job_id,
+           .worker = worker,
+           .trial = job.trial_id,
+           .now = now});
   return &lease;
 }
 
@@ -184,12 +373,10 @@ void TuningServer::CompleteLease(LeaseMap::iterator it, double loss,
   // reaches the top.
   leases_.erase(it);
   ++stats_.jobs_completed;
-  if (JournalSink* journal = live_journal()) {
-    Json record = LeaseRecord("report", job_id);
-    record.Set("loss", Json(loss));
-    record.Set("now", Json(now));
-    journal->JournalRecord(std::move(record));
-  }
+  Journal({.kind = LeaseEventKind::kReport,
+           .job_id = job_id,
+           .loss = loss,
+           .now = now});
 }
 
 void TuningServer::ExpireLease(LeaseMap::iterator it, double now) {
@@ -206,11 +393,7 @@ void TuningServer::ExpireLease(LeaseMap::iterator it, double now) {
                                           static_cast<int>(lease.worker)});
   leases_.erase(it);
   ++stats_.leases_expired;
-  if (JournalSink* journal = live_journal()) {
-    Json record = LeaseRecord("expire", job_id);
-    record.Set("now", Json(now));
-    journal->JournalRecord(std::move(record));
-  }
+  Journal({.kind = LeaseEventKind::kExpire, .job_id = job_id, .now = now});
 }
 
 void TuningServer::RenewLease(LeaseMap::iterator it, double now) {
@@ -226,11 +409,7 @@ void TuningServer::RenewLease(LeaseMap::iterator it, double now) {
                                  options_.study_label));
     telemetry->Count("server.leases_renewed");
   }
-  if (JournalSink* journal = live_journal()) {
-    Json record = LeaseRecord("renew", job_id);
-    record.Set("now", Json(now));
-    journal->JournalRecord(std::move(record));
-  }
+  Journal({.kind = LeaseEventKind::kRenew, .job_id = job_id, .now = now});
 }
 
 Json TuningServer::HandleRequestJob(const Json& message, double now) {
@@ -325,6 +504,7 @@ Json TuningServer::HandleHeartbeat(const Json& message, double now) {
 }
 
 Json TuningServer::HandleMessage(const Json& message, double now) {
+  if (!std::isfinite(now)) return ErrorReply(kNonFiniteTimeError);
   // Align the sink's virtual clock with protocol time so scheduler events
   // emitted inside GetJob/Report carry the same timestamps as ours.
   if (options_.telemetry != nullptr) options_.telemetry->AdvanceTo(now);
@@ -419,38 +599,33 @@ void TuningServer::Restore(const Json& snapshot) {
       static_cast<std::size_t>(stats.at("malformed_messages").AsInt());
 }
 
-void TuningServer::ReplayJournalEvent(const Json& event) {
-  const std::string& kind = event.at("kind").AsString();
-  if (kind == "hazard") return;  // audit-only record; worker state survives
-  const double now = event.at("now").AsDouble();
+void TuningServer::ReplayJournalEvent(std::string_view payload) {
+  const std::optional<LeaseRecord> record = ParseLeaseRecord(payload);
+  if (!record) return;  // audit-only record; worker state survives
+  const double now = record->now;
   replaying_ = true;
   struct ReplayScope {
     bool& replaying;
     ~ReplayScope() { replaying = false; }
   } scope{replaying_};
-  if (kind == "shift") {
+  if (record->kind == LeaseEventKind::kShift) {
     // A resume shifted every open deadline by the suspension's duration.
     // Without replaying it, leases granted before a pre-crash suspension
     // would expire spuriously on the first post-recovery tick.
-    ShiftDeadlines(event.at("delta").AsDouble(), now);
+    ShiftDeadlines(record->delta, now);
     return;
   }
-  if (kind != "grant" && kind != "report" && kind != "renew" &&
-      kind != "expire") {
-    throw CheckError("journal replay: unknown event kind '" + kind + "'");
-  }
-  const auto job_id = static_cast<std::uint64_t>(event.at("job_id").AsInt());
-  if (kind == "grant") {
+  const std::uint64_t job_id = record->job_id;
+  if (record->kind == LeaseEventKind::kGrant) {
     // Replay by re-derivation: the restored scheduler must produce exactly
     // the job the live server granted. The journal carries the expected
     // identity so divergence fails loudly here rather than corrupting the
     // run downstream.
-    const Lease* lease = OpenLease(
-        static_cast<std::uint64_t>(event.at("worker").AsInt()), now);
+    const Lease* lease = OpenLease(record->worker, now);
     HT_CHECK_MSG(lease != nullptr,
                  "journal replay: scheduler had no job for grant " << job_id);
     HT_CHECK_MSG(lease->leased.lease_id == job_id &&
-                     lease->leased.job.trial_id == event.at("trial").AsInt(),
+                     lease->leased.job.trial_id == record->trial,
                  "journal replay diverged at grant "
                      << job_id << ": re-derived lease "
                      << lease->leased.lease_id << " trial "
@@ -459,10 +634,11 @@ void TuningServer::ReplayJournalEvent(const Json& event) {
   }
   const auto it = leases_.find(job_id);
   HT_CHECK_MSG(it != leases_.end(),
-               "journal replay: " << kind << " for unknown lease " << job_id);
-  if (kind == "report") {
-    CompleteLease(it, event.at("loss").AsDouble(), now);
-  } else if (kind == "renew") {
+               "journal replay: " << payload << " for unknown lease "
+                                  << job_id);
+  if (record->kind == LeaseEventKind::kReport) {
+    CompleteLease(it, record->loss, now);
+  } else if (record->kind == LeaseEventKind::kRenew) {
     RenewLease(it, now);
   } else {
     ExpireLease(it, now);

@@ -41,7 +41,7 @@
 // The server is the one owner of lease state. Each lease event — grant,
 // report, renewal, expiry, resume-time deadline shift — is one private
 // mutation that applies the event, emits its telemetry, and hands its
-// journal record to ServerOptions::journal; ReplayJournalEvent parses the
+// journal record to ServerOptions::journal; ReplayJournalEvent decodes the
 // same records back into the same mutations (DESIGN.md §7).
 //
 // The server is single-threaded and clock-agnostic: callers pass `now`
@@ -54,6 +54,7 @@
 #include <optional>
 #include <queue>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/json.h"
@@ -65,16 +66,51 @@ namespace hypertune {
 
 class Telemetry;
 
-/// Where a server's journal records go. TuningServer builds one record per
-/// lease event (kinds "grant", "report", "renew", "expire", "shift"), hands
-/// it here right after applying the event within the same message, and
-/// parses the same records back in ReplayJournalEvent. The durability layer
-/// (src/durability) implements this to append them to its write-ahead
-/// journal.
+/// The lease events a server journals, one record kind each.
+enum class LeaseEventKind : std::uint8_t {
+  kGrant,   // "grant":  job_id, worker, trial, now
+  kReport,  // "report": job_id, loss, now
+  kRenew,   // "renew":  job_id, now
+  kExpire,  // "expire": job_id, now
+  kShift,   // "shift":  delta, now
+};
+
+/// One journaled lease event. Only the fields its kind lists above travel;
+/// the rest stay zero.
+struct LeaseRecord {
+  LeaseEventKind kind = LeaseEventKind::kGrant;
+  std::uint64_t job_id = 0;
+  std::uint64_t worker = 0;
+  TrialId trial = 0;
+  double loss = 0;
+  double delta = 0;
+  double now = 0;
+
+  friend bool operator==(const LeaseRecord&, const LeaseRecord&) = default;
+};
+
+/// Appends `record`'s journal payload to `out`: a compact JSON object with
+/// "kind" first and the kind's fields in the order listed above — the bytes
+/// Json::Dump writes for that object (ids as signed 64-bit integers,
+/// doubles by WriteJsonDouble). CheckError on a non-finite double.
+void AppendLeaseRecord(const LeaseRecord& record, std::string& out);
+
+/// Reads a payload AppendLeaseRecord wrote. Accepts only that canonical
+/// form — any other spacing, key order, key set or number spelling is a
+/// CheckError, and so is an unknown kind. Returns nullopt for an audit-only
+/// "hazard" record (DurableServer::JournalAuxiliary), which replay skips.
+std::optional<LeaseRecord> ParseLeaseRecord(std::string_view payload);
+
+/// Where a server's journal records go. TuningServer encodes one record
+/// per lease event (AppendLeaseRecord), hands its bytes here right after
+/// applying the event within the same message, and reads the same bytes
+/// back in ReplayJournalEvent. The durability layer (src/durability)
+/// implements this to append them to its write-ahead journal.
 class JournalSink {
  public:
   virtual ~JournalSink() = default;
-  virtual void JournalRecord(Json record) = 0;
+  /// `payload` is valid only for the duration of the call.
+  virtual void JournalRecord(std::string_view payload) = 0;
 };
 
 /// The transport-agnostic face of the tuning service: one protocol message
@@ -108,6 +144,11 @@ Json NoJobReply(double retry_after);
 /// overload shedding and degraded mode deny. False for anything else,
 /// including a message that is not an object.
 bool IsGrantRequest(const Json& message);
+
+/// The error reply text for a message stamped with a NaN or infinite
+/// protocol time. Every layer refuses such a message before it changes any
+/// state: the time would reach lease deadlines and the journal.
+inline constexpr char kNonFiniteTimeError[] = "protocol time is not finite";
 
 /// Upper bound on `count` in a batched request_jobs message; larger
 /// requests are clamped (a hostile client must not lease the world).
@@ -159,7 +200,8 @@ class TuningServer : public MessageService {
 
   /// Handles one worker message and returns the reply. Malformed messages
   /// get {"type":"error"} replies rather than exceptions (a bad client must
-  /// not take down the service).
+  /// not take down the service); so does a non-finite `now`, which changes
+  /// nothing.
   Json HandleMessage(const Json& message, double now) override;
 
   /// Expires overdue leases (call periodically; HandleMessage also calls
@@ -167,7 +209,8 @@ class TuningServer : public MessageService {
   /// NetServerOptions::tick_interval). Also drops stale heap tops (renewed
   /// or resolved leases) whether or not they are due, so the deadline heap
   /// stays near the live-lease count. O(E log L) for E expiries and stale
-  /// tops — a no-op sweep touches only the heap top.
+  /// tops — a no-op sweep touches only the heap top. CheckError, before any
+  /// change, when `now` is not finite.
   void Tick(double now) override;
 
   /// Shifts every open lease deadline by `delta`, rebuilds the expiry heap
@@ -214,14 +257,15 @@ class TuningServer : public MessageService {
   /// tail and lets Tick re-expire whatever the dead workers never finish.
   void Restore(const Json& snapshot);
 
-  /// Applies one journaled record during recovery, through the same
-  /// mutation the live event ran. Grants are replayed by re-derivation: the
-  /// restored scheduler is asked for its next job, and the result is
-  /// checked against the journaled job id and trial — divergence is a
-  /// CheckError, not a silent corruption, and so is a record for an unknown
-  /// lease. "hazard" records are audit-only and skipped. No telemetry or
-  /// journal output is emitted while replaying.
-  void ReplayJournalEvent(const Json& event);
+  /// Applies one journal payload during recovery (ParseLeaseRecord),
+  /// through the same mutation the live event ran. Grants are replayed by
+  /// re-derivation: the restored scheduler is asked for its next job, and
+  /// the result is checked against the journaled job id and trial —
+  /// divergence is a CheckError, not a silent corruption, and so is a
+  /// record for an unknown lease or of an unknown kind. "hazard" records
+  /// are audit-only and skipped. No telemetry or journal output is emitted
+  /// while replaying.
+  void ReplayJournalEvent(std::string_view payload);
 
  private:
   struct Lease {
@@ -264,14 +308,13 @@ class TuningServer : public MessageService {
   void ExpireLease(LeaseMap::iterator it, double now);
   /// Moves the lease's deadline to `now + lease_timeout`.
   void RenewLease(LeaseMap::iterator it, double now);
+  /// Encodes `record` and hands it to the journal sink, unless replaying or
+  /// unjournaled.
+  void Journal(const LeaseRecord& record);
 
   /// The telemetry sink for live events; null while replaying.
   Telemetry* live_telemetry() const {
     return replaying_ ? nullptr : options_.telemetry;
-  }
-  /// The journal sink for live events; null while replaying.
-  JournalSink* live_journal() const {
-    return replaying_ ? nullptr : options_.journal;
   }
 
   Scheduler& scheduler_;
@@ -287,6 +330,8 @@ class TuningServer : public MessageService {
   bool frozen_ = false;
   /// True while ReplayJournalEvent applies a record.
   bool replaying_ = false;
+  /// Journal's encoding buffer, reused across records.
+  std::string record_bytes_;
 };
 
 }  // namespace hypertune

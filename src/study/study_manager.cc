@@ -1,10 +1,10 @@
 #include "study/study_manager.h"
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "telemetry/telemetry.h"
@@ -16,11 +16,9 @@ namespace {
 /// Where study-less messages route: the single-tenant compatibility path.
 constexpr char kDefaultStudy[] = "default";
 
-std::string ReadWholeFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  HT_CHECK_MSG(in.good(), "cannot read '" << path << "'");
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
+Json ReadJsonFile(const std::string& path) {
+  const std::vector<char> bytes = ReadFileBytes(path);
+  return Json::Parse({bytes.data(), bytes.size()});
 }
 
 /// Study names double as directory names, so the charset is the portable
@@ -146,7 +144,7 @@ void StudyManager::RecoverStudies() {
       continue;
     }
     const Json manifest =
-        Json::Parse(ReadWholeFile((dir / "study.json").string()));
+        ReadJsonFile((dir / "study.json").string());
     HT_CHECK_MSG(manifest.at("name").AsString() == name,
                  "study manifest in " << dir.string() << " names '"
                                       << manifest.at("name").AsString()
@@ -159,7 +157,7 @@ void StudyManager::RecoverStudies() {
                                                                  << "'");
     const std::string state_path = (dir / "state.json").string();
     if (std::filesystem::exists(state_path)) {
-      const Json state = Json::Parse(ReadWholeFile(state_path));
+      const Json state = ReadJsonFile(state_path);
       if (state.at("suspended").AsBool()) {
         study->suspended = true;
         study->suspended_at = state.at("suspended_at").AsDouble();
@@ -476,6 +474,9 @@ Json StudyManager::HandleAdmin(const std::string& type, const Json& message,
 }
 
 Json StudyManager::HandleMessage(const Json& message, double now) {
+  // Refused before routing: admin verbs write `now` into state.json and
+  // lease events into journals, and neither reads back a non-finite one.
+  if (!std::isfinite(now)) return ErrorReply(kNonFiniteTimeError);
   try {
     const std::string& type = message.at("type").AsString();
     if (type == "create_study" || type == "suspend_study" ||

@@ -138,7 +138,8 @@ class StudyManager final : public MessageService {
   /// Routes one protocol message: admin verbs are handled here, lease
   /// messages go to the study named by the "study" field (absent = the
   /// default study, "*" = round-robin across all ready studies). Unknown
-  /// studies and malformed messages get {"type":"error"} replies.
+  /// studies, malformed messages and a non-finite `now` get
+  /// {"type":"error"} replies.
   Json HandleMessage(const Json& message, double now) override;
 
   /// Expires overdue leases across all studies, in name order. Suspended

@@ -9,7 +9,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -133,6 +136,32 @@ TEST(Wal, CrcCorruptionStopsTheRead) {
   const JournalReadResult result = ReadJournal(path);
   EXPECT_EQ(result.payloads, (std::vector<std::string>{"alpha"}));
   EXPECT_TRUE(result.truncated_tail);
+}
+
+TEST(Wal, PayloadViewsSurviveAMove) {
+  const std::string path = TempPath("moved.log");
+  {
+    auto writer = JournalWriter::Create(path, {});
+    writer.Append("short");  // fits a small-string buffer
+    writer.Append(std::string(300, 'z'));
+  }
+  JournalReadResult read = ReadJournal(path);
+  const JournalReadResult moved = std::move(read);
+  ASSERT_EQ(moved.payloads.size(), 2u);
+  EXPECT_EQ(moved.payloads[0], "short");
+  EXPECT_EQ(moved.payloads[1], std::string(300, 'z'));
+}
+
+TEST(Wal, ReadFileBytesReadsTheWholeFile) {
+  const std::string path = TempPath("bytes.bin");
+  const std::string content =
+      std::string("a\0b", 3) + std::string(70000, 'q');
+  WriteRaw(path, content);
+  const std::vector<char> bytes = ReadFileBytes(path);
+  EXPECT_EQ(std::string(bytes.begin(), bytes.end()), content);
+  WriteRaw(path, "");
+  EXPECT_TRUE(ReadFileBytes(path).empty());
+  EXPECT_THROW(ReadFileBytes(TempPath("no_such_file")), CheckError);
 }
 
 TEST(Wal, RejectsForeignFiles) {
@@ -380,6 +409,120 @@ TEST(DurableServer, RecoveryPassesOverAuxiliaryRecords) {
   EXPECT_TRUE(durable.recovered());
   EXPECT_EQ(durable.replayed_events(), 3u);
   EXPECT_EQ(durable.server().stats().active_leases, 2u);
+}
+
+// Replay recognizes an auxiliary record by its leading {"kind":"hazard"
+// bytes, so the kind must be the first key; the dump scenario's producer
+// (tools/dump_scenario.h) and the test above both build it first.
+TEST(DurableServer, AuxiliaryRecordsMustLeadWithTheirKind) {
+  const std::string dir = FreshStateDir("auxiliary_kind_first");
+  AshaScheduler scheduler(MakeRandomSampler(DurabilitySpace()),
+                          DurabilityAsha());
+  DurableServer durable(scheduler, ServerOptions{.lease_timeout = 1e6},
+                        DurabilityOptions{.dir = dir});
+  Json kind_second = JsonObject{};
+  kind_second.Set("base_duration", Json(1.0));
+  kind_second.Set("kind", Json("hazard"));
+  EXPECT_THROW(durable.JournalAuxiliary(kind_second), CheckError);
+  Json other_kind = JsonObject{};
+  other_kind.Set("kind", Json("grant"));
+  EXPECT_THROW(durable.JournalAuxiliary(other_kind), CheckError);
+  EXPECT_THROW(durable.JournalAuxiliary(Json(JsonObject{})), CheckError);
+  EXPECT_THROW(durable.JournalAuxiliary(Json("hazard")), CheckError);
+  Json hazard = JsonObject{};
+  hazard.Set("kind", Json("hazard"));
+  hazard.Set("duration", Json(2.0));
+  durable.JournalAuxiliary(hazard);
+  EXPECT_EQ(ReadJournal((std::filesystem::path(dir) / "wal-000000.log")
+                            .string())
+                .payloads,
+            (std::vector<std::string>{R"({"kind":"hazard","duration":2.0})"}));
+}
+
+Json Heartbeat(std::uint64_t worker, std::uint64_t job_id) {
+  Json message = JsonObject{};
+  message.Set("type", Json("heartbeat"));
+  message.Set("worker", Json(static_cast<std::int64_t>(worker)));
+  message.Set("job_id", Json(static_cast<std::int64_t>(job_id)));
+  return message;
+}
+
+class RecordingSink final : public JournalSink {
+ public:
+  void JournalRecord(std::string_view payload) override {
+    records.emplace_back(payload);
+  }
+  std::vector<std::string> records;
+};
+
+const double kNonFiniteTimes[] = {std::numeric_limits<double>::quiet_NaN(),
+                                  std::numeric_limits<double>::infinity(),
+                                  -std::numeric_limits<double>::infinity()};
+
+// A NaN `now` used to be granted and journaled as "now":null, which no
+// recovery could read back. Every message stamped with a non-finite time is
+// now refused before it changes anything.
+TEST(TuningServer, RefusesNonFiniteTimeBeforeAnyStateChanges) {
+  AshaScheduler scheduler(MakeRandomSampler(DurabilitySpace()),
+                          DurabilityAsha());
+  RecordingSink sink;
+  TuningServer server(scheduler, {.lease_timeout = 10, .journal = &sink});
+  const Json granted = server.HandleMessage(RequestJob(0), 1.0);
+  ASSERT_EQ(granted.at("type").AsString(), "job");
+  const auto job_id = static_cast<std::uint64_t>(granted.at("job_id").AsInt());
+  ASSERT_EQ(sink.records.size(), 1u);
+  for (const double bad : kNonFiniteTimes) {
+    for (const Json& message :
+         {RequestJob(1), Report(0, job_id, 0.5), Heartbeat(0, job_id)}) {
+      const Json reply = server.HandleMessage(message, bad);
+      EXPECT_EQ(reply.at("type").AsString(), "error") << bad;
+      EXPECT_EQ(reply.at("message").AsString(), kNonFiniteTimeError);
+    }
+    EXPECT_THROW(server.Tick(bad), CheckError);
+  }
+  EXPECT_EQ(sink.records.size(), 1u);
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.jobs_assigned, 1u);
+  EXPECT_EQ(stats.active_leases, 1u);
+  EXPECT_EQ(stats.malformed_messages, 0u);
+  EXPECT_EQ(stats.leases_expired, 0u);
+}
+
+TEST(DurableServer, NonFiniteTimeIsNeverJournaledAndRecoverySucceeds) {
+  const std::string dir = FreshStateDir("non_finite_time");
+  const std::string wal =
+      (std::filesystem::path(dir) / "wal-000000.log").string();
+  std::uint64_t job_id = 0;
+  {
+    AshaScheduler scheduler(MakeRandomSampler(DurabilitySpace()),
+                            DurabilityAsha());
+    DurableServer durable(scheduler, ServerOptions{.lease_timeout = 10},
+                          DurabilityOptions{.dir = dir});
+    const Json granted = durable.HandleMessage(RequestJob(0), 1.0);
+    ASSERT_EQ(granted.at("type").AsString(), "job");
+    job_id = static_cast<std::uint64_t>(granted.at("job_id").AsInt());
+    const auto journal_size = std::filesystem::file_size(wal);
+    for (const double bad : kNonFiniteTimes) {
+      for (const Json& message :
+           {RequestJob(1), Report(0, job_id, 0.5), Heartbeat(0, job_id)}) {
+        EXPECT_EQ(durable.HandleMessage(message, bad).at("type").AsString(),
+                  "error")
+            << bad;
+      }
+    }
+    EXPECT_EQ(std::filesystem::file_size(wal), journal_size);
+  }
+  AshaScheduler scheduler(MakeRandomSampler(DurabilitySpace()),
+                          DurabilityAsha());
+  DurableServer recovered(scheduler, ServerOptions{.lease_timeout = 10},
+                          DurabilityOptions{.dir = dir});
+  EXPECT_TRUE(recovered.recovered());
+  EXPECT_EQ(recovered.replayed_events(), 1u);
+  EXPECT_EQ(recovered.server().stats().active_leases, 1u);
+  EXPECT_EQ(recovered.HandleMessage(Report(0, job_id, 0.5), 2.0)
+                .at("type")
+                .AsString(),
+            "ack");
 }
 
 TEST(DurableServer, RefusesForeignStateDirGracefully) {

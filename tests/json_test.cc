@@ -3,11 +3,56 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <string>
 
 #include "common/check.h"
 
 namespace hypertune {
 namespace {
+
+std::string WrittenDouble(double value) {
+  char buf[kJsonDoubleMaxChars];
+  return std::string(buf, WriteJsonDouble(buf, value));
+}
+
+// The number rule spelled with the printf it was first written with.
+std::string PrintfDouble(double value) {
+  if (!std::isfinite(value)) return "null";
+  char buf[64];
+  if (std::floor(value) == value && std::abs(value) < 1e15) {
+    std::snprintf(buf, sizeof(buf), "%lld.0",
+                  static_cast<long long>(value));
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.17g", value);
+  }
+  return buf;
+}
+
+TEST(JsonNumber, WriteJsonDoubleMatchesPrintfOnRandomBitPatterns) {
+  std::mt19937_64 rng(17);
+  for (int i = 0; i < 200000; ++i) {
+    const std::uint64_t bits = rng();
+    double value;
+    std::memcpy(&value, &bits, sizeof(value));
+    ASSERT_EQ(WrittenDouble(value), PrintfDouble(value)) << bits;
+  }
+  for (const double value :
+       {0.0, -0.0, 1.0, -1.0, 0.1, 1e15, 1e15 - 1, -1e15, 1e-320,
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::quiet_NaN(),
+        std::numeric_limits<double>::infinity()}) {
+    EXPECT_EQ(WrittenDouble(value), PrintfDouble(value)) << value;
+  }
+  EXPECT_EQ(WrittenDouble(-0.0), "0.0");
+  EXPECT_EQ(WrittenDouble(2.5), "2.5");
+  EXPECT_EQ(Json(2.0).Dump(), "2.0");
+  EXPECT_EQ(Json(-std::numeric_limits<double>::infinity()).Dump(), "null");
+}
 
 TEST(Json, TypePredicates) {
   EXPECT_TRUE(Json().IsNull());

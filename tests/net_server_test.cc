@@ -15,6 +15,7 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -496,6 +497,73 @@ TEST(NetMalformed, UnparseableJsonLineRejectedConnectionSurvives) {
   EXPECT_EQ(DecodeJsonLine(*job_line).message.at("type").AsString(), "job");
   EXPECT_EQ(h.net.stats().messages_rejected, 1u);
   EXPECT_EQ(h.net.stats().connections_closed, 0u);
+}
+
+// Under the message clock the frame's f64 `now` becomes protocol time. A
+// non-finite one is rejected before it can: a NaN would reach the journal
+// as "now":null (unrecoverable), and an infinity would stick as the idle
+// tick's clock and expire every lease.
+TEST(NetMalformed, NonFiniteMessageTimeIsRejectedBeforeItBecomesTheClock) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(testing::TempDir()) / "ht_net_non_finite";
+  fs::remove_all(dir);
+  RandomSearchOptions options;
+  options.R = 10;
+  {
+    RandomSearchScheduler scheduler(MakeRandomSampler(UnitSpace()), options);
+    DurableServer durable(scheduler, {.lease_timeout = 60},
+                          {.dir = dir.string()});
+    NetServerOptions net_options;
+    net_options.clock = NetClock::kMessage;
+    net_options.tick_interval = 0.01;
+    NetServer net(durable, net_options);
+    net.Start();
+    RawClient raw(net.port());
+
+    raw.SendAll(EncodeMessage(RequestJob(1), 1.0));
+    const auto grant = raw.RecvFrame();
+    ASSERT_TRUE(grant.has_value());
+    ASSERT_EQ(grant->type, WireType::kJob);
+    const std::int64_t job_id =
+        DecodeMessage(*grant).message.at("job_id").AsInt();
+    Json heartbeat = JsonObject{};
+    heartbeat.Set("type", Json("heartbeat"));
+    heartbeat.Set("worker", Json(std::int64_t{1}));
+    heartbeat.Set("job_id", Json(job_id));
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    raw.SendAll(EncodeMessage(RequestJob(2), nan) +
+                EncodeMessage(RequestJob(2), inf) +
+                EncodeMessage(heartbeat, -inf) +
+                EncodeMessage(Report(1, job_id, 0.5), inf));
+    for (int i = 0; i < 4; ++i) {
+      const auto reply = raw.RecvFrame();
+      ASSERT_TRUE(reply.has_value());
+      ASSERT_EQ(reply->type, WireType::kError);
+      EXPECT_EQ(DecodeMessage(*reply).message.at("message").AsString(),
+                kNonFiniteTimeError);
+    }
+    // Idle ticks keep running at the last finite time: the lease lives.
+    const std::size_t ticks = net.stats().timer_ticks;
+    ASSERT_TRUE(WaitFor([&] { return net.stats().timer_ticks >= ticks + 5; }));
+    raw.SendAll(EncodeMessage(RequestJob(2), 2.0));
+    const auto second = raw.RecvFrame();
+    ASSERT_TRUE(second.has_value());
+    EXPECT_EQ(second->type, WireType::kJob);
+    net.Stop();
+
+    EXPECT_EQ(net.stats().messages_rejected, 4u);
+    EXPECT_EQ(net.stats().messages_handled, 2u);
+    EXPECT_EQ(durable.server().stats().leases_expired, 0u);
+    EXPECT_EQ(durable.server().stats().active_leases, 2u);
+  }
+  RandomSearchScheduler scheduler(MakeRandomSampler(UnitSpace()), options);
+  DurableServer recovered(scheduler, {.lease_timeout = 60},
+                          {.dir = dir.string()});
+  EXPECT_TRUE(recovered.recovered());
+  EXPECT_EQ(recovered.replayed_events(), 2u);  // the two grants
+  EXPECT_EQ(recovered.server().stats().active_leases, 2u);
+  fs::remove_all(dir);
 }
 
 TEST(NetMalformed, TelemetryCountsFrameErrors) {

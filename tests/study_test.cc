@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -584,6 +585,50 @@ TEST(StudyDurability, ResumeShiftSurvivesACrashWithALeaseOpen) {
   EXPECT_EQ(server->stats().active_leases, 1u);
   EXPECT_EQ(ReplyType(recovered.HandleMessage(Heartbeat(1, job_id, "held"),
                                               1029.0)),
+            "ack");
+}
+
+// A non-finite `now` is refused before routing: an admin verb would write it
+// into state.json ("suspended_at":null) and a lease event into the journal,
+// and neither reads back, so the next start would refuse the whole manager.
+TEST(StudyDurability, NonFiniteTimeIsRefusedAndRecoverySucceeds) {
+  const std::string root = FreshDir("non_finite_time");
+  StudyManagerOptions options = BaseOptions();
+  options.durability_root = root;
+  options.default_config = Json();
+  const double bad_times[] = {std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity(),
+                              -std::numeric_limits<double>::infinity()};
+  std::int64_t job_id = 0;
+  {
+    StudyManager manager(MakeStudySchedulerFactory(StudySpace()), options);
+    ASSERT_TRUE(manager.CreateStudy("live", RandomConfig(3), 0.0));
+    const Json grant = manager.HandleMessage(RequestJob(1, "live"), 1.0);
+    ASSERT_EQ(ReplyType(grant), "job");
+    job_id = grant.at("job_id").AsInt();
+    Json create = Admin("create_study", "born_at_nan");
+    create.Set("config", RandomConfig(4));
+    for (const double bad : bad_times) {
+      for (const Json& message :
+           {RequestJob(2, "live"), RequestJob(2, "*"),
+            Report(1, job_id, 0.5, "live"), Heartbeat(1, job_id, "live"),
+            create, Admin("suspend_study", "live"),
+            Admin("resume_study", "live"), Admin("delete_study", "live")}) {
+        const Json reply = manager.HandleMessage(message, bad);
+        EXPECT_EQ(ReplyType(reply), "error") << message.Dump();
+        EXPECT_EQ(reply.at("message").AsString(), kNonFiniteTimeError);
+      }
+    }
+    EXPECT_EQ(manager.study_count(), 1u);
+    EXPECT_EQ(manager.FindServer("live")->stats().jobs_assigned, 1u);
+  }
+  StudyManager recovered(MakeStudySchedulerFactory(StudySpace()), options);
+  EXPECT_EQ(recovered.study_count(), 1u);
+  TuningServer* server = recovered.FindServer("live");
+  ASSERT_NE(server, nullptr);
+  EXPECT_EQ(server->stats().active_leases, 1u);
+  EXPECT_EQ(ReplyType(recovered.HandleMessage(Report(1, job_id, 0.5, "live"),
+                                              2.0)),
             "ack");
 }
 
