@@ -56,8 +56,6 @@ double RunningStats::Variance() const {
   return m2_ / static_cast<double>(n_ - 1);
 }
 
-double RunningStats::Stddev() const { return std::sqrt(Variance()); }
-
 std::vector<std::size_t> ArgsortAscending(std::span<const double> xs) {
   std::vector<std::size_t> idx(xs.size());
   std::iota(idx.begin(), idx.end(), std::size_t{0});

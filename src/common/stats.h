@@ -32,7 +32,6 @@ class RunningStats {
   double Mean() const { return n_ ? mean_ : 0.0; }
   /// Sample variance; 0 with fewer than two observations.
   double Variance() const;
-  double Stddev() const;
   double Min() const { return min_; }
   double Max() const { return max_; }
 

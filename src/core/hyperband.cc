@@ -27,11 +27,6 @@ HyperbandScheduler::HyperbandScheduler(std::shared_ptr<ConfigSampler> sampler,
   StartNextBracketIfNeeded();
 }
 
-int HyperbandScheduler::CurrentBracket() const {
-  HT_CHECK(!brackets_run_.empty());
-  return brackets_run_.back()->options().s;
-}
-
 void HyperbandScheduler::StartNextBracketIfNeeded() {
   if (!brackets_run_.empty() && !brackets_run_.back()->Finished()) return;
   if (!options_.loop_forever &&

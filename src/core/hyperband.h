@@ -50,8 +50,6 @@ class HyperbandScheduler final : public Scheduler {
   /// Forwarded to every bracket, including ones started later.
   void SetTelemetry(Telemetry* telemetry) override;
 
-  /// Early-stopping rate of the bracket currently being run.
-  int CurrentBracket() const;
   std::size_t NumBracketsCompleted() const { return brackets_run_.size() - 1; }
 
   /// Crash recovery: the shared trial bank, every bracket run so far (each

@@ -114,22 +114,6 @@ JournalWriter::JournalWriter(JournalWriter&& other) noexcept
       last_errno_(other.last_errno_),
       frame_(std::move(other.frame_)) {}
 
-JournalWriter& JournalWriter::operator=(JournalWriter&& other) noexcept {
-  if (this != &other) {
-    if (fd_ >= 0) ::close(fd_);
-    fd_ = std::exchange(other.fd_, -1);
-    options_ = other.options_;
-    ops_ = other.ops_;
-    frames_written_ = other.frames_written_;
-    frames_since_sync_ = other.frames_since_sync_;
-    good_bytes_ = other.good_bytes_;
-    tail_dirty_ = other.tail_dirty_;
-    last_errno_ = other.last_errno_;
-    frame_ = std::move(other.frame_);
-  }
-  return *this;
-}
-
 JournalWriter::~JournalWriter() {
   if (fd_ < 0) return;
   // Best-effort: a destructor cannot degrade or throw. Callers with a
@@ -142,11 +126,6 @@ JournalWriter::~JournalWriter() {
 void JournalWriter::Append(std::string_view payload) {
   HT_CHECK_MSG(TryAppend(payload) == AppendResult::kOk,
                "journal write failed: " << std::strerror(last_errno_));
-}
-
-void JournalWriter::Sync() {
-  HT_CHECK_MSG(TrySync(),
-               "journal fsync failed: " << std::strerror(last_errno_));
 }
 
 bool JournalWriter::RepairTail() {

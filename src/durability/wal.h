@@ -85,7 +85,6 @@ class JournalWriter {
                               std::uint64_t valid_bytes);
 
   JournalWriter(JournalWriter&& other) noexcept;
-  JournalWriter& operator=(JournalWriter&& other) noexcept;
   JournalWriter(const JournalWriter&) = delete;
   JournalWriter& operator=(const JournalWriter&) = delete;
   ~JournalWriter();
@@ -94,16 +93,12 @@ class JournalWriter {
   /// CheckError on failure.
   void Append(std::string_view payload);
 
-  /// Forces an fsync now (e.g. right before taking a snapshot). Throws
-  /// CheckError on failure.
-  void Sync();
-
   /// Non-throwing Append; see AppendResult for what each outcome obliges
   /// the caller to do.
   AppendResult TryAppend(std::string_view payload);
 
-  /// Non-throwing Sync: true when the journal is durable up to its last
-  /// appended frame.
+  /// Forces an fsync now, without throwing: true when the journal is
+  /// durable up to its last appended frame.
   bool TrySync();
 
   std::size_t frames_written() const { return frames_written_; }

@@ -71,7 +71,7 @@ std::unique_ptr<Scheduler> MakeTuner(const std::string& name,
                                      const TunerParams& params) {
   HT_CHECK_MSG(env.space != nullptr, "TunerEnv needs a search space");
   const double R = env.R;
-  const double r = R / params.r_divisor;
+  const double r = params.r.value_or(R / params.r_divisor);
   const bool resume = params.resume && env.resumable;
   const SearchSpace& space = *env.space;
 
@@ -85,6 +85,7 @@ std::unique_ptr<Scheduler> MakeTuner(const std::string& name,
     options.seed = params.seed;
     options.resume_from_checkpoint = resume;
     options.infinite_horizon = name == "asha_infinite";
+    options.max_trials = params.max_trials;
     if (name == "asha_tpe") return MakeAshaTpe(space, options, TpeOptions{});
     if (name == "asha_halton") {
       options.display_name = "ASHA+Halton";
@@ -104,6 +105,7 @@ std::unique_ptr<Scheduler> MakeTuner(const std::string& name,
     options.seed = params.seed;
     options.resume_from_checkpoint = resume;
     options.incumbent_policy = PolicyFor(name);
+    options.spawn_new_brackets = params.spawn_new_brackets;
     return std::make_unique<SyncShaScheduler>(MakeRandomSampler(space),
                                               options);
   }
@@ -134,6 +136,7 @@ std::unique_ptr<Scheduler> MakeTuner(const std::string& name,
   if (name == "random" || name == "halton") {
     RandomSearchOptions options;
     options.R = R;
+    options.max_trials = params.max_trials;
     options.seed = params.seed;
     auto sampler = name == "halton"
                        ? std::shared_ptr<ConfigSampler>(

@@ -1,10 +1,11 @@
 // Name-based tuner registry: builds any of the library's schedulers from a
 // string name plus a small common parameter set, sized against a benchmark.
-// The one way the benches, the experiment runner, the sweep engine and the
-// CLI build a tuner.
+// The one way the benches, the experiment runner, the sweep engine, the CLI
+// and served studies (MakeStudySchedulerFactory) build a tuner.
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,9 @@ struct TunerParams {
   double eta = 4;
   /// Minimum resource as a fraction of R: r = R / r_divisor.
   double r_divisor = 256;
+  /// Minimum resource given absolutely (served study configs); overrides
+  /// r_divisor, since R / (R / r) does not always round back to r.
+  std::optional<double> r;
   /// Bracket size for synchronous SHA/BOHB and n0 for Hyperband variants.
   std::size_t n = 256;
   /// Minimum early-stopping rate.
@@ -32,6 +36,10 @@ struct TunerParams {
   std::uint64_t seed = 1;
   /// Resume from checkpoints where the benchmark supports it.
   bool resume = true;
+  /// Cap on configurations for ASHA and random search (-1 = unlimited).
+  std::int64_t max_trials = -1;
+  /// False: synchronous SHA serves one bracket and opens no new one.
+  bool spawn_new_brackets = true;
 };
 
 /// Known names: asha, asha_tpe, asha_halton, asha_infinite, sha,

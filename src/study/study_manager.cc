@@ -53,7 +53,8 @@ StudyManager::StudyManager(StudySchedulerFactory factory,
   if (durable()) RecoverStudies();
   if (!options_.default_config.IsNull() && Find(kDefaultStudy) == nullptr) {
     HT_CHECK_MSG(CreateStudy(kDefaultStudy, options_.default_config, 0.0),
-                 "cannot create default study '" << kDefaultStudy << "'");
+                 "cannot create default study '" << kDefaultStudy << "' from "
+                     << options_.default_config.Dump());
   }
 }
 

@@ -71,12 +71,15 @@ class Telemetry;
 using StudySchedulerFactory =
     std::function<std::unique_ptr<Scheduler>(const Json& config)>;
 
-/// The stock factory over one fixed search space. Config keys: "kind"
-/// ("asha" | "sha" | "hyperband" | "random", default "random"), "seed",
-/// and the kind's knobs ("r", "R", "eta", "max_trials", "n", "n0") with
-/// the same defaults the decision-identity scenario uses (r=1, R=81,
-/// eta=3). Unknown kinds and any other key are rejected.
-StudySchedulerFactory MakeStudySchedulerFactory(SearchSpace space);
+/// The stock factory over one fixed search space: a study is the registry
+/// tuner named by "tuner" (any TunerNames() entry) or by a legacy "kind"
+/// (asha, sha, hyperband, random; default random) with its old served
+/// meaning, sized by "seed", "r", "R", "eta", "n"/"n0" and "max_trials"
+/// (DESIGN.md §3). A config it refuses yields null. `resumable` and
+/// `random_guess_loss` are the benchmark's; legacy kinds always resume.
+StudySchedulerFactory MakeStudySchedulerFactory(SearchSpace space,
+                                                bool resumable = true,
+                                                double random_guess_loss = 1);
 
 struct StudyManagerOptions {
   /// Per-study server template. `journal` must be unset (DurableServer

@@ -12,6 +12,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -23,6 +24,7 @@
 #include "service/server.h"
 #include "service/worker.h"
 #include "study/study_manager.h"
+#include "surrogate/benchmarks.h"
 
 namespace hypertune {
 namespace {
@@ -104,6 +106,18 @@ Json Admin(const char* type, const std::string& study) {
 
 std::string ReplyType(const Json& reply) {
   return reply.at("type").AsString();
+}
+
+Json TunerConfig(const std::string& name) {
+  Json config = JsonObject{};
+  config.Set("tuner", Json(name));
+  return config;
+}
+
+Json CreateMessage(const std::string& study, const Json& config) {
+  Json create = Admin("create_study", study);
+  create.Set("config", config);
+  return create;
 }
 
 // ---------------------------------------------------------------------------
@@ -235,12 +249,153 @@ TEST(StudyManager, StockFactoryRejectsKeysItDoesNotRead) {
   typo.Set("max_trial", Json(std::int64_t{5}));
   EXPECT_EQ(factory(typo), nullptr);
 
+  // A tuner is named by "tuner" or by a legacy "kind", never both, and
+  // "n0" sizes only the legacy hyperband kind.
+  Json tuner_config = JsonObject{};
+  tuner_config.Set("tuner", Json("hyperband"));
+  ASSERT_NE(factory(tuner_config), nullptr);
+  Json mixed = tuner_config;
+  mixed.Set("kind", Json("hyperband"));
+  EXPECT_EQ(factory(mixed), nullptr);
+  Json tuner_n0 = tuner_config;
+  tuner_n0.Set("n0", Json(std::int64_t{9}));
+  EXPECT_EQ(factory(tuner_n0), nullptr);
+  Json unknown_tuner = JsonObject{};
+  unknown_tuner.Set("tuner", Json("simulated-annealing"));
+  EXPECT_EQ(factory(unknown_tuner), nullptr);
+  // The legacy "hyperband" kind is the asynchronous variant; the registry
+  // name is synchronous Hyperband.
+  Json legacy_hyperband = JsonObject{};
+  legacy_hyperband.Set("kind", Json("hyperband"));
+  EXPECT_NE(factory(legacy_hyperband)->name(),
+            factory(tuner_config)->name());
+
+  // A value of the wrong type is refused, not coerced or defaulted.
+  const auto with = [](Json config, const char* key, Json value) {
+    config.Set(key, std::move(value));
+    return config;
+  };
+  Json asha = JsonObject{};
+  asha.Set("kind", Json("asha"));
+  EXPECT_EQ(factory(with(asha, "seed", Json("3"))), nullptr);
+  EXPECT_EQ(factory(with(asha, "r", Json("1"))), nullptr);
+  EXPECT_EQ(factory(with(asha, "R", Json(true))), nullptr);
+  EXPECT_EQ(factory(with(asha, "max_trials", Json(2.5))), nullptr);
+  EXPECT_EQ(factory(with(asha, "seed", Json(1e300))), nullptr);
+  Json sha = JsonObject{};
+  sha.Set("kind", Json("sha"));
+  EXPECT_EQ(factory(with(sha, "n", Json(JsonArray{}))), nullptr);
+  EXPECT_EQ(factory(with(TunerConfig("asha"), "n", Json("9"))), nullptr);
+  // A legacy kind type-checks only the keys it reads, as it always did:
+  // persisted configs with a mistyped key their kind ignores must recover.
+  EXPECT_NE(factory(with(asha, "n0", Json("x"))), nullptr);
+  EXPECT_NE(factory(with(RandomConfig(1), "r", Json("1"))), nullptr);
+  EXPECT_EQ(factory(with(JsonObject{}, "kind", Json(std::int64_t{1}))),
+            nullptr);
+  EXPECT_EQ(factory(with(JsonObject{}, "tuner", Json())), nullptr);
+  EXPECT_EQ(factory(with(tuner_config, "eta", Json("3"))), nullptr);
+  EXPECT_EQ(factory(Json(JsonArray{})), nullptr);
+
   StudyManager manager(MakeStudySchedulerFactory(StudySpace()),
                        BaseOptions());
   Json create = Admin("create_study", "typo");
   create.Set("config", typo);
   EXPECT_EQ(ReplyType(manager.HandleMessage(create, 0.0)), "error");
   EXPECT_EQ(manager.study_count(), 1u);
+}
+
+// A "tuner" study is the tuner the offline runner builds for the same
+// benchmark: the factory carries the benchmark's resumability (the SVMs
+// retrain from scratch per rung) and its guessing loss (PBT's restart
+// trigger, on ptb_lstm's perplexity scale), so the jobs match one for one.
+TEST(StudyManager, StockFactoryBuildsTheOfflineTuner) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"ptb_lstm", "pbt"}, {"svm_vehicle", "asha"}, {"svm_mnist", "sha"}};
+  for (const auto& [benchmark, tuner] : cases) {
+    const auto bench = benchmarks::ByName(benchmark, 1);
+    TunerParams params;
+    params.seed = 5;
+    const auto offline = MakeTunerByName(tuner, *bench, params);
+    Json config = TunerConfig(tuner);
+    config.Set("seed", Json(std::int64_t{5}));
+    config.Set("R", Json(bench->R()));
+    config.Set("r", Json(bench->R() / params.r_divisor));
+    config.Set("eta", Json(params.eta));
+    config.Set("n", Json(static_cast<std::int64_t>(params.n)));
+    const auto served =
+        MakeStudySchedulerFactory(bench->space(), bench->spec().resumable,
+                                  bench->spec().random_guess_loss)(config);
+    ASSERT_NE(served, nullptr) << benchmark;
+    for (int i = 0; i < 300; ++i) {
+      const auto expected = offline->GetJob();
+      const auto job = served->GetJob();
+      ASSERT_EQ(job.has_value(), expected.has_value()) << benchmark << i;
+      if (!job) break;
+      ASSERT_EQ(job->trial_id, expected->trial_id) << benchmark << i;
+      ASSERT_EQ(job->rung, expected->rung) << benchmark << i;
+      ASSERT_EQ(job->from_resource, expected->from_resource) << benchmark << i;
+      ASSERT_EQ(job->to_resource, expected->to_resource) << benchmark << i;
+      ASSERT_EQ(job->config.ToString(), expected->config.ToString())
+          << benchmark << i;
+      const double loss = bench->TrueLoss(job->config, job->to_resource);
+      offline->ReportResult(*expected, loss);
+      served->ReportResult(*job, loss);
+    }
+  }
+}
+
+// Every registry tuner serves as a study: created over the wire, it leases
+// and takes reports; a duplicate report, a report for a job it never issued
+// and one for an expired lease are acknowledged as stale and change
+// nothing, a malformed report is an error, and the study keeps serving.
+TEST(StudyManager, ServesEveryRegistryTuner) {
+  StudyManagerOptions options = BaseOptions();
+  options.default_config = Json();
+  StudyManager manager(MakeStudySchedulerFactory(StudySpace()), options);
+  const double timeout = options.server.lease_timeout;
+  for (const std::string& name : TunerNames()) {
+    ASSERT_EQ(ReplyType(manager.HandleMessage(
+                  CreateMessage(name, TunerConfig(name)), 0.0)),
+              "ack")
+        << name;
+    const auto expect_stale = [&](std::int64_t job_id, double now) {
+      const Json reply =
+          manager.HandleMessage(Report(1, job_id, 0.25, name), now);
+      EXPECT_EQ(ReplyType(reply), "ack") << name;
+      EXPECT_TRUE(reply.Has("stale")) << name;
+    };
+
+    std::int64_t done = 0;
+    for (int i = 0; i < 2; ++i) {
+      const Json grant = manager.HandleMessage(RequestJob(1, name), 1.0);
+      ASSERT_EQ(ReplyType(grant), "job") << name;
+      done = grant.at("job_id").AsInt();
+      ASSERT_EQ(ReplyType(manager.HandleMessage(
+                    Report(1, done, 0.5 - 0.1 * i, name), 2.0)),
+                "ack")
+          << name;
+    }
+    expect_stale(done, 3.0);
+    expect_stale(done + 1000, 3.0);
+
+    const Json grant = manager.HandleMessage(RequestJob(1, name), 4.0);
+    ASSERT_EQ(ReplyType(grant), "job") << name;
+    const std::int64_t open = grant.at("job_id").AsInt();
+    Json bad_loss = Report(1, open, 0.5, name);
+    bad_loss.Set("loss", Json("low"));
+    EXPECT_EQ(ReplyType(manager.HandleMessage(bad_loss, 5.0)), "error")
+        << name;
+    // Past the deadline the lease expires, and its late report is stale.
+    expect_stale(open, 5.0 + timeout);
+
+    const TuningServer* server = manager.FindServer(name);
+    EXPECT_EQ(server->stats().jobs_completed, 2u) << name;
+    EXPECT_EQ(server->stats().leases_expired, 1u) << name;
+    const Json after = manager.HandleMessage(RequestJob(1, name), 6.0 + timeout);
+    EXPECT_TRUE(ReplyType(after) == "job" || ReplyType(after) == "no_job")
+        << name << ": " << after.Dump();
+  }
+  EXPECT_EQ(manager.study_count(), TunerNames().size());
 }
 
 TEST(StudyManager, ScriptedSessionExpiresAllButSuspendedLeases) {
@@ -632,6 +787,31 @@ TEST(StudyDurability, NonFiniteTimeIsRefusedAndRecoverySucceeds) {
             "ack");
 }
 
+// Configs the earlier kind-only factory accepted and persisted recover:
+// a legacy kind ignores a mistyped key it does not read, as it did then.
+TEST(StudyDurability, RecoversLegacyConfigsWithIgnoredMistypedKeys) {
+  StudyManagerOptions options = BaseOptions();
+  options.durability_root = FreshDir("legacy_ignored");
+  options.default_config = Json();
+  Json random = RandomConfig(2);
+  random.Set("r", Json("1"));
+  Json asha = JsonObject{};
+  asha.Set("kind", Json("asha"));
+  asha.Set("n0", Json("x"));
+  {
+    StudyManager manager(MakeStudySchedulerFactory(StudySpace()), options);
+    ASSERT_TRUE(manager.CreateStudy("random", random, 0.0));
+    ASSERT_TRUE(manager.CreateStudy("asha", asha, 0.0));
+    ASSERT_EQ(ReplyType(manager.HandleMessage(RequestJob(1, "asha"), 1.0)),
+              "job");
+  }
+  StudyManager recovered(MakeStudySchedulerFactory(StudySpace()), options);
+  EXPECT_EQ(recovered.stats().recovered, 2u);
+  EXPECT_EQ(recovered.FindServer("asha")->stats().jobs_assigned, 1u);
+  EXPECT_EQ(ReplyType(recovered.HandleMessage(RequestJob(2, "random"), 2.0)),
+            "job");
+}
+
 TEST(StudyDurability, TombstoneCompletesInterruptedDelete) {
   const std::string root = FreshDir("tombstone");
   StudyManagerOptions options = BaseOptions();
@@ -667,29 +847,26 @@ TEST(StudyDurability, TombstoneCompletesInterruptedDelete) {
 // Durable studies are compacted through Scheduler::Snapshot, so a scheduler
 // that cannot snapshot is refused at create time with nothing on disk; a
 // leftover manifest would make every restart rebuild the unservable study.
+// Every snapshot-capable registry tuner is created over the wire, leases a
+// job, and survives a crash with that lease open.
 TEST(StudyDurability, RefusesSchedulersThatCannotSnapshot) {
   const std::string root = FreshDir("snapshot_only");
   StudyManagerOptions options = BaseOptions();
   options.durability_root = root;
   options.default_config = Json();
-  const SearchSpace space = StudySpace();
-  const StudySchedulerFactory every_tuner = [&space](const Json& config) {
-    return MakeTuner(config.at("kind").AsString(), {.space = &space, .R = 81},
-                     {});
-  };
+  const StudySchedulerFactory factory = MakeStudySchedulerFactory(StudySpace());
 
-  std::vector<std::string> servable;
+  std::map<std::string, std::int64_t> open_jobs;
   {
-    StudyManager manager(every_tuner, options);
+    StudyManager manager(factory, options);
     for (const std::string& name : TunerNames()) {
-      Json config = JsonObject{};
-      config.Set("kind", Json(name));
-      Json create = Admin("create_study", name);
-      create.Set("config", config);
-      const Json reply = manager.HandleMessage(create, 0.0);
-      if (every_tuner(config)->SupportsSnapshot()) {
-        EXPECT_EQ(ReplyType(reply), "ack") << name;
-        servable.push_back(name);
+      const Json reply =
+          manager.HandleMessage(CreateMessage(name, TunerConfig(name)), 0.0);
+      if (factory(TunerConfig(name))->SupportsSnapshot()) {
+        ASSERT_EQ(ReplyType(reply), "ack") << name;
+        const Json grant = manager.HandleMessage(RequestJob(1, name), 1.0);
+        ASSERT_EQ(ReplyType(grant), "job") << name;
+        open_jobs[name] = grant.at("job_id").AsInt();
       } else {
         EXPECT_EQ(ReplyType(reply), "error") << name;
         EXPECT_NE(reply.at("message").AsString().find("snapshot"),
@@ -700,18 +877,30 @@ TEST(StudyDurability, RefusesSchedulersThatCannotSnapshot) {
             << name;
       }
     }
+    // No clean shutdown: the manager dies like a killed process.
   }
-  ASSERT_FALSE(servable.empty());
-  ASSERT_LT(servable.size(), TunerNames().size());
+  ASSERT_FALSE(open_jobs.empty());
+  ASSERT_LT(open_jobs.size(), TunerNames().size());
 
-  StudyManager recovered(every_tuner, options);
-  EXPECT_EQ(recovered.stats().recovered, servable.size());
+  StudyManager recovered(factory, options);
+  EXPECT_EQ(recovered.stats().recovered, open_jobs.size());
   std::vector<std::string> names;
   for (const StudyInfo& info : recovered.ListStudies()) {
     names.push_back(info.name);
   }
-  std::sort(servable.begin(), servable.end());
+  std::vector<std::string> servable;
+  for (const auto& [name, job] : open_jobs) servable.push_back(name);
   EXPECT_EQ(names, servable);
+  for (const auto& [name, job] : open_jobs) {
+    EXPECT_EQ(ReplyType(recovered.HandleMessage(Heartbeat(1, job, name), 2.0)),
+              "ack")
+        << name;
+    EXPECT_EQ(ReplyType(recovered.HandleMessage(Report(1, job, 0.5, name),
+                                                3.0)),
+              "ack")
+        << name;
+    EXPECT_EQ(recovered.FindServer(name)->stats().jobs_completed, 1u) << name;
+  }
 }
 
 TEST(StudyDurability, RecoversAThousandStudies) {

@@ -50,6 +50,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/crc32.h"
@@ -514,7 +515,9 @@ int RunChaos(const std::string& scratch, bool quick) {
 }  // namespace hypertune
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
+  // The scratch dir comes first: `chaos_recovery --studies 100` would
+  // otherwise take the flag for the directory.
+  if (argc < 2 || std::string_view(argv[1]).starts_with("--")) {
     std::cerr << "usage: chaos_recovery <scratch-dir> [--quick]"
                  " [--studies N] [--net-faults] [--enospc]\n";
     return 2;

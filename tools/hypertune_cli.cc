@@ -8,14 +8,15 @@
 //                 --time-in-r=6 --out=/tmp/ptb.json
 //   hypertune_cli --list
 //
-// Network mode (src/net): `--serve=PORT` runs the tuning service on a real
-// TCP socket (optionally durable with --state-dir); `--connect=HOST:PORT`
-// drives a fleet of simulated workers against such a server over the
-// binary or JSON wire protocol. See README "Running over the network".
+// Network mode (src/net): `--serve=PORT` runs the multi-study tuning service
+// on a TCP socket (durable with --state-dir); `--connect=HOST:PORT` drives
+// simulated workers against it over the binary or JSON wire protocol. See
+// README "Running over the network".
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
+#include <filesystem>
 #include <iostream>
 #include <map>
 #include <string>
@@ -26,7 +27,6 @@
 #include "analysis/report.h"
 #include "common/check.h"
 #include "common/table.h"
-#include "durability/durable_server.h"
 #include "net/net_client.h"
 #include "net/net_server.h"
 #include "registry/registry.h"
@@ -99,36 +99,28 @@ Flags:
   --metrics-out=PATH     write the metrics-registry snapshot as JSON
 
 Network mode:
-  --serve=PORT           run the tuning service on a TCP port (0 picks an
-                         ephemeral one, printed at startup); scheduler from
-                         --tuner/--benchmark/--seed as usual
-  --state-dir=DIR        (serve) durable mode: WAL + snapshots in DIR; a
-                         restart with the same flags recovers the study
+  --serve=PORT           run a multi-study tuning service on a TCP port (0
+                         picks an ephemeral one, printed at startup);
+                         study-less messages go to study "default": --tuner
+                         (any name --list prints) sized like an offline run
+                         on --benchmark by --seed, --r-divisor, --eta, --n
+                         (--s applies offline only)
+  --state-dir=DIR        (serve) durable mode: studies journal under
+                         DIR/studies/<name>/ and a restart recovers them; a
+                         single-study DIR (top-level wal-*.log) is refused
   --serve-seconds=T      (serve) stop after T wall seconds (default: run
                          until Ctrl-C)
   --lease-timeout=T      (serve) lease timeout in wall seconds (default 60)
-  --multi-study          (serve) host a StudyManager instead of one study:
-                         clients create/suspend/resume/delete/list studies
-                         over the wire in one single-threaded study
-                         index; --tuner (asha|sha|hyperband|random, where
-                         hyperband is the asynchronous variant) and --seed
-                         set the default study (named "default", where
-                         study-less messages go), sized as --serve sizes
-                         it: R from --benchmark, r = R / --r-divisor,
-                         --eta, and --n as SHA's n or Hyperband's n0;
-                         --state-dir roots per-study durability under
-                         DIR/studies/<name>/
-  --max-leases=N         (serve --multi-study) default per-study quota
-                         (default 0 = unlimited)
+  --max-leases=N         (serve) default per-study quota (default 0 =
+                         unlimited)
   --connect=HOST:PORT    drive --workers simulated workers against a served
                          study; the surrogate --benchmark supplies losses
   --study=NAME           (connect) pin every message the fleet sends to
                          study NAME (absent: the server's default study)
-  --create=KIND          (connect) create --study first with scheduler KIND
-                         (asha|sha|hyperband|random) seeded by --seed and
-                         sized like the --multi-study default study; an
-                         already-exists error just means another fleet won
-                         the race
+  --create=TUNER         (connect) create --study first with any tuner
+                         --list prints, seeded by --seed and sized like the
+                         default study; an already-exists error just means
+                         another fleet won the race
   --transport=NAME       (connect) binary (default) or json
   --time-scale=X         (connect) virtual task-time units per wall second
                          (default 60)
@@ -157,103 +149,46 @@ void ServeUntilInterrupted(double serve_seconds) {
   }
 }
 
-/// `--serve=PORT`: the tuning service on a real socket, wall-clock leases,
-/// idle-expiry timer running — the deployment shape from the paper, scaled
-/// down to one process.
-int RunServe(const Flags& flags) {
-  const std::string benchmark_name = flags.Get("benchmark", "cifar_arch");
-  const std::string tuner = flags.Get("tuner", "asha");
-  const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1000));
-  auto bench = benchmarks::ByName(benchmark_name, seed);
-
-  TunerParams params;
-  params.eta = flags.GetDouble("eta", 4);
-  params.s = flags.GetInt("s", 0);
-  params.r_divisor = flags.GetDouble("r-divisor", 256);
-  params.n = static_cast<std::size_t>(flags.GetInt("n", 256));
-  params.seed = seed;
-  auto scheduler = MakeTunerByName(tuner, *bench, params);
-
-  const ServerOptions server_options{
-      .lease_timeout = flags.GetDouble("lease-timeout", 60),
-      .track_recommendations = true};
-  std::unique_ptr<TuningServer> plain;
-  std::optional<DurableServer> durable;
-  MessageService* service = nullptr;
-  if (flags.Has("state-dir")) {
-    durable.emplace(*scheduler, server_options,
-                    DurabilityOptions{.dir = flags.Get("state-dir", "")});
-    if (durable->recovered()) {
-      std::cout << "recovered generation " << durable->generation()
-                << " (+" << durable->replayed_events()
-                << " journal events) from " << flags.Get("state-dir", "")
-                << "\n";
-    }
-    service = &*durable;
-  } else {
-    plain = std::make_unique<TuningServer>(*scheduler, server_options);
-    service = plain.get();
-  }
-
-  NetServerOptions net_options;
-  net_options.port = flags.GetInt("serve", 0);
-  net_options.clock = NetClock::kWall;
-  NetServer net(*service, net_options);
-  net.Start();
-  std::cout << "serving " << tuner << " on " << benchmark_name << " at "
-            << net_options.bind_address << ":" << net.port() << "\n";
-
-  ServeUntilInterrupted(flags.GetDouble("serve-seconds", 0));
-  net.Stop();  // drain replies, close sockets, join — workers see EOF
-
-  const TuningServer& server = durable ? durable->server() : *plain;
-  const auto net_stats = net.stats();
-  const auto stats = server.stats();
-  std::cout << "connections=" << net_stats.connections_accepted
-            << " messages=" << net_stats.messages_handled
-            << " ticks=" << net_stats.timer_ticks
-            << " rejected=" << net_stats.messages_rejected << "\n"
-            << "assigned=" << stats.jobs_assigned
-            << " completed=" << stats.jobs_completed
-            << " expired=" << stats.leases_expired << "\n";
-  if (const auto best = server.Current()) {
-    std::cout << "best: trial=" << best->trial_id << " loss="
-              << FormatDouble(best->loss, 4) << "\n";
-  }
-  return 0;
-}
-
-/// The stock study factory's config for `kind`, sized the way RunServe
-/// sizes a tuner: R is the benchmark's R, r = R / --r-divisor, eta is
-/// --eta, and --n is SHA's n or Hyperband's n0. Throws for a kind the
-/// factory cannot build.
-Json StudyConfig(const Flags& flags, const std::string& kind, double R,
+/// A study config sized like an offline run: the benchmark's R, r = R /
+/// --r-divisor, --eta and --n. It has no "s" key: --s is offline only.
+Json StudyConfig(const Flags& flags, const std::string& tuner, double R,
                  std::uint64_t seed) {
-  HT_CHECK_MSG(kind == "asha" || kind == "sha" || kind == "hyperband" ||
-                   kind == "random",
-               "'" << kind
-                   << "' cannot run as a study; study kinds are asha, sha, "
-                      "hyperband (the asynchronous variant here) and random");
   Json config = JsonObject{};
-  config.Set("kind", Json(kind));
+  config.Set("tuner", Json(tuner));
   config.Set("seed", Json(static_cast<std::int64_t>(seed)));
   config.Set("R", Json(R));
-  if (kind == "random") return config;
   config.Set("r", Json(R / flags.GetDouble("r-divisor", 256)));
   config.Set("eta", Json(flags.GetDouble("eta", 4)));
-  const Json n(static_cast<std::int64_t>(flags.GetInt("n", 256)));
-  if (kind == "sha") config.Set("n", n);
-  if (kind == "hyperband") config.Set("n0", n);
+  config.Set("n", Json(static_cast<std::int64_t>(flags.GetInt("n", 256))));
   return config;
 }
 
-/// `--serve=PORT --multi-study`: one server, many studies. Lease traffic
-/// routes by the "study" field on each message; the admin vocabulary
-/// (create_study/.../list_studies) manages tenants over the same socket.
+/// Throws when `dir` holds a single-study journal (wal-*.log, snapshot-*.json)
+/// that serving would start fresh studies beside instead of recovering.
+void RefuseSingleStudyStateDir(const std::string& dir) {
+  if (!std::filesystem::is_directory(dir)) return;
+  std::string found;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if ((name.starts_with("wal-") && name.ends_with(".log")) ||
+        (name.starts_with("snapshot-") && name.ends_with(".json"))) {
+      found += " " + name;
+    }
+  }
+  HT_CHECK_MSG(found.empty(), dir << " holds a single-study journal:" << found
+                                  << "; --serve journals in DIR/studies/");
+}
+
+/// `--serve=PORT`: the tuning service on a real socket, wall-clock leases,
+/// idle-expiry timer running — the deployment shape from the paper, scaled
+/// down to one process. One StudyManager hosts every study: study-less
+/// messages go to the study named "default" (built from --tuner), and
+/// clients create/suspend/resume/delete/list more over the same socket.
 /// With --state-dir each study journals under DIR/studies/<name>/ and a
 /// restart recovers all of them.
-int RunServeMultiStudy(const Flags& flags) {
+int RunServe(const Flags& flags) {
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1000));
+  const std::string tuner = flags.Get("tuner", "asha");
   const auto bench =
       benchmarks::ByName(flags.Get("benchmark", "cifar_arch"), seed);
 
@@ -264,9 +199,12 @@ int RunServeMultiStudy(const Flags& flags) {
   options.durability_root = flags.Get("state-dir", "");
   options.default_max_leases =
       static_cast<std::size_t>(flags.GetInt("max-leases", 0));
-  options.default_config =
-      StudyConfig(flags, flags.Get("tuner", "asha"), bench->R(), seed);
-  StudyManager manager(MakeStudySchedulerFactory(bench->space()), options);
+  options.default_config = StudyConfig(flags, tuner, bench->R(), seed);
+  RefuseSingleStudyStateDir(options.durability_root);
+  StudyManager manager(
+      MakeStudySchedulerFactory(bench->space(), bench->spec().resumable,
+                                bench->spec().random_guess_loss),
+      options);
   if (manager.stats().recovered > 0) {
     std::cout << "recovered " << manager.stats().recovered << " studies from "
               << options.durability_root << "\n";
@@ -277,9 +215,10 @@ int RunServeMultiStudy(const Flags& flags) {
   net_options.clock = NetClock::kWall;
   NetServer net(manager, net_options);
   net.Start();
-  std::cout << "serving studies (default tuner " << flags.Get("tuner", "asha")
-            << " on " << flags.Get("benchmark", "cifar_arch") << ") at "
-            << net_options.bind_address << ":" << net.port() << "\n";
+  // Flushed: a supervisor reading a pipe learns the port from this line.
+  std::cout << "serving studies (default tuner " << tuner << " on "
+            << flags.Get("benchmark", "cifar_arch") << ") at "
+            << net_options.bind_address << ":" << net.port() << std::endl;
 
   ServeUntilInterrupted(flags.GetDouble("serve-seconds", 0));
   net.Stop();
@@ -290,11 +229,17 @@ int RunServeMultiStudy(const Flags& flags) {
             << " ticks=" << net_stats.timer_ticks
             << " rejected=" << net_stats.messages_rejected << "\n";
   for (const auto& info : manager.ListStudies()) {
+    const TuningServer& server = *manager.FindServer(info.name);
     std::cout << "study " << info.name
               << (info.suspended ? " suspended" : " active")
               << " assigned=" << info.jobs_assigned
               << " completed=" << info.jobs_completed
-              << " active_leases=" << info.active_leases << "\n";
+              << " active_leases=" << info.active_leases
+              << " expired=" << server.stats().leases_expired << "\n";
+    if (const auto best = server.Current()) {
+      std::cout << "  best: trial=" << best->trial_id
+                << " loss=" << FormatDouble(best->loss, 4) << "\n";
+    }
   }
   return 0;
 }
@@ -392,10 +337,7 @@ int main(int argc, char** argv) {
   try {
     const Flags flags = ParseFlags(argc, argv);
     if (flags.Has("help") || flags.Has("h")) return Usage();
-    if (flags.Has("serve")) {
-      return flags.Has("multi-study") ? RunServeMultiStudy(flags)
-                                      : RunServe(flags);
-    }
+    if (flags.Has("serve")) return RunServe(flags);
     if (flags.Has("connect")) return RunConnect(flags);
     if (flags.Has("list")) {
       std::cout << "tuners:";
